@@ -172,12 +172,14 @@ fn build_workload(df: &Dragonfly, cfg: &GpcnetConfig) -> Workload {
     let nics = df.params().nics_per_node;
     let victim_rank_ep = victim_rank_endpoints(df, &victims, cfg.ppn);
 
-    // Pair generation stays sequential (the pattern draws are cheap); the
-    // expensive part — routing — happens afterwards in one tagged batch
-    // where every flow carries its VNI and draws from its own
-    // `(seed, index)`-keyed stream. Victim pairs (vni 0) first, then the
-    // five congestor patterns (vni 1..=5), so the victim prefix of the
-    // routed vector is exactly the isolated workload.
+    // Pair generation stays sequential on one stream. Each incast or
+    // broadcast fan costs `fan` index draws (a partial Fisher–Yates, not a
+    // shuffle of the whole pool), so the draws are cheap next to routing,
+    // which happens afterwards in one tagged batch where every flow
+    // carries its VNI and draws from its own `(seed, index)`-keyed stream.
+    // Victim pairs (vni 0) come first, then the five congestor patterns
+    // (vni 1..=5), so the victim prefix of the routed vector is exactly
+    // the isolated workload.
     let mut tagged: Vec<(EndpointId, EndpointId, u32)> =
         Vec::with_capacity(victim_rank_ep.len() + 2 * congestors.len() * nics);
 

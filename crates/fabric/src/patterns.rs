@@ -31,29 +31,40 @@ pub fn incast_pairs(
     fan: usize,
     rng: &mut StreamRng,
 ) -> Vec<(EndpointId, EndpointId)> {
-    assert!(fan <= pool.len());
-    let mut candidates: Vec<EndpointId> = Vec::with_capacity(pool.len());
-    candidates.extend(pool.iter().copied().filter(|&e| e != dst));
-    rng.shuffle(&mut candidates);
-    let mut pairs = Vec::with_capacity(fan);
-    pairs.extend(candidates.into_iter().take(fan).map(|s| (s, dst)));
-    pairs
+    fan_pairs(pool, dst, fan, rng, |s| (s, dst))
 }
 
 /// One root sending to `fan` destinations (broadcast leaf traffic).
+/// Destinations are drawn without replacement from `pool`.
 pub fn broadcast_pairs(
     pool: &[EndpointId],
     root: EndpointId,
     fan: usize,
     rng: &mut StreamRng,
 ) -> Vec<(EndpointId, EndpointId)> {
+    fan_pairs(pool, root, fan, rng, |d| (root, d))
+}
+
+/// Draw `fan` members of `pool` other than `hub` without replacement and
+/// orient each against the hub with `pair`. A partial Fisher–Yates costs
+/// `fan` index draws, not one per pool member; if `hub` is in `pool`, at
+/// most `pool.len() − 1` members exist to draw.
+fn fan_pairs(
+    pool: &[EndpointId],
+    hub: EndpointId,
+    fan: usize,
+    rng: &mut StreamRng,
+    pair: impl Fn(EndpointId) -> (EndpointId, EndpointId),
+) -> Vec<(EndpointId, EndpointId)> {
     assert!(fan <= pool.len());
     let mut candidates: Vec<EndpointId> = Vec::with_capacity(pool.len());
-    candidates.extend(pool.iter().copied().filter(|&e| e != root));
-    rng.shuffle(&mut candidates);
-    let mut pairs = Vec::with_capacity(fan);
-    pairs.extend(candidates.into_iter().take(fan).map(|d| (root, d)));
-    pairs
+    candidates.extend(pool.iter().copied().filter(|&e| e != hub));
+    let fan = fan.min(candidates.len());
+    rng.partial_shuffle(&mut candidates, fan);
+    if let Some(m) = metrics::active() {
+        m.counter("fabric.patterns.draws").add(fan as u64);
+    }
+    candidates[..fan].iter().copied().map(pair).collect()
 }
 
 /// A ring of pairwise flows over `pool` (each endpoint sends to the next) —
@@ -130,16 +141,32 @@ mod tests {
         }
     }
 
+    /// The fanned-out members of `pairs`, checked distinct and never `hub`.
+    fn fan_members(
+        pairs: &[(EndpointId, EndpointId)],
+        hub: EndpointId,
+        member: impl Fn(&(EndpointId, EndpointId)) -> (EndpointId, EndpointId),
+    ) -> Vec<EndpointId> {
+        let mut members = Vec::with_capacity(pairs.len());
+        for p in pairs {
+            let (h, m) = member(p);
+            assert_eq!(h, hub);
+            assert_ne!(m, hub);
+            members.push(m);
+        }
+        members.sort_unstable();
+        members.dedup();
+        assert_eq!(members.len(), pairs.len(), "a member was drawn twice");
+        members
+    }
+
     #[test]
     fn incast_targets_one_destination() {
         let mut rng = StreamRng::from_seed(2);
         let pool: Vec<EndpointId> = (0..20).map(EndpointId).collect();
         let pairs = incast_pairs(&pool, EndpointId(5), 8, &mut rng);
         assert_eq!(pairs.len(), 8);
-        for (s, d) in pairs {
-            assert_eq!(d, EndpointId(5));
-            assert_ne!(s, d);
-        }
+        fan_members(&pairs, EndpointId(5), |&(s, d)| (d, s));
     }
 
     #[test]
@@ -148,10 +175,35 @@ mod tests {
         let pool: Vec<EndpointId> = (0..20).map(EndpointId).collect();
         let pairs = broadcast_pairs(&pool, EndpointId(0), 10, &mut rng);
         assert_eq!(pairs.len(), 10);
-        for (s, d) in pairs {
-            assert_eq!(s, EndpointId(0));
-            assert_ne!(s, d);
-        }
+        fan_members(&pairs, EndpointId(0), |&p| p);
+    }
+
+    #[test]
+    fn fans_of_zero_and_of_the_whole_pool() {
+        let pool: Vec<EndpointId> = (0..12).map(EndpointId).collect();
+        let hub = EndpointId(7);
+        let rest: Vec<EndpointId> = pool.iter().copied().filter(|&e| e != hub).collect();
+        let mut rng = StreamRng::from_seed(4);
+        assert!(incast_pairs(&pool, hub, 0, &mut rng).is_empty());
+        assert!(broadcast_pairs(&pool, hub, 0, &mut rng).is_empty());
+        let whole = pool.len() - 1;
+        let pairs = incast_pairs(&pool, hub, whole, &mut rng);
+        assert_eq!(fan_members(&pairs, hub, |&(s, d)| (d, s)), rest);
+        let pairs = broadcast_pairs(&pool, hub, whole, &mut rng);
+        assert_eq!(fan_members(&pairs, hub, |&p| p), rest);
+        // A fan of the whole pool, hub included, has only the rest to draw.
+        let pairs = incast_pairs(&pool, hub, pool.len(), &mut rng);
+        assert_eq!(fan_members(&pairs, hub, |&(s, d)| (d, s)), rest);
+    }
+
+    #[test]
+    fn incast_and_broadcast_draw_the_same_members() {
+        let pool: Vec<EndpointId> = (0..40).map(EndpointId).collect();
+        let hub = EndpointId(9);
+        let incast = incast_pairs(&pool, hub, 6, &mut StreamRng::from_seed(5));
+        let broadcast = broadcast_pairs(&pool, hub, 6, &mut StreamRng::from_seed(5));
+        let flipped: Vec<_> = broadcast.iter().map(|&(r, d)| (d, r)).collect();
+        assert_eq!(incast, flipped);
     }
 
     #[test]

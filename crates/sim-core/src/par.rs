@@ -200,10 +200,13 @@ where
         work();
         idle(|| handles.into_iter().for_each(result));
     });
-    outputs
-        .into_iter()
-        .flat_map(|m| m.into_inner().unwrap_or_else(PoisonError::into_inner))
-        .collect()
+    // Sized up front, so a big result (a GPCNeT flow set) is allocated
+    // once and keeps no spare capacity for as long as the caller holds it.
+    let mut results = Vec::with_capacity(n);
+    for m in outputs {
+        results.append(&mut m.into_inner().unwrap_or_else(PoisonError::into_inner));
+    }
+    results
 }
 
 /// [`map`] for its effect: `f` over every item, typically disjoint `&mut`

@@ -219,6 +219,23 @@ impl StreamRng {
         }
     }
 
+    /// Forward partial Fisher–Yates: afterwards `items[..amount]` is a
+    /// uniform random sample of `items` in random order, drawn with
+    /// `amount` index draws instead of the `len − 1` of [`Self::shuffle`].
+    /// The rest of the slice holds the unsampled items in no useful order.
+    /// Panics if `amount > items.len()`.
+    pub fn partial_shuffle<T>(&mut self, items: &mut [T], amount: usize) {
+        assert!(
+            amount <= items.len(),
+            "cannot sample {amount} of {}",
+            items.len()
+        );
+        for i in 0..amount {
+            let j = i + self.index(items.len() - i);
+            items.swap(i, j);
+        }
+    }
+
     /// A uniformly random derangement-ish pairing used by mpiGraph-style
     /// benchmarks: returns a permutation of `0..n` with no fixed points
     /// (no endpoint sends to itself). Uses repeated shuffle-and-fix.
@@ -326,6 +343,13 @@ mod tests {
         let ints: Vec<u64> = (0..4).map(|_| r.int_range(1000, 1_000_000_007)).collect();
         assert_eq!(ints, [732679533, 547522202, 579860549, 363086429]);
         assert_eq!(stream().pairing(8), [3, 0, 5, 1, 6, 2, 7, 4]);
+        let partial = |amount| {
+            let mut v: Vec<u32> = (0..8).collect();
+            stream().partial_shuffle(&mut v, amount);
+            v
+        };
+        assert_eq!(partial(3), [4, 5, 0, 3, 2, 1, 6, 7]);
+        assert_eq!(partial(8), [4, 5, 0, 7, 1, 3, 6, 2]);
         let mut r = StreamRng::from_seed(0);
         let words: Vec<u64> = (0..3).map(|_| r.next_u64()).collect();
         assert_eq!(
@@ -414,6 +438,57 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn partial_shuffle_is_a_permutation_whose_prefix_follows_the_draws() {
+        crate::check::cases(64, |g| {
+            let len = g.range(0usize..40);
+            let amount = g.range(0..len + 1);
+            let seed = g.range(0u64..u64::MAX);
+            let mut v: Vec<usize> = (0..len).collect();
+            let mut r = StreamRng::from_seed(seed);
+            r.partial_shuffle(&mut v, amount);
+
+            let mut sorted = v.clone();
+            sorted.sort_unstable();
+            assert_eq!(sorted, (0..len).collect::<Vec<_>>());
+
+            // The prefix by hand: item i of the sample is drawn from the
+            // `len - i` items not yet taken, in their current order.
+            let mut rest: Vec<usize> = (0..len).collect();
+            let mut by_hand = StreamRng::from_seed(seed);
+            for (i, &picked) in v[..amount].iter().enumerate() {
+                let j = i + by_hand.index(len - i);
+                rest.swap(i, j);
+                assert_eq!(picked, rest[i]);
+            }
+            assert_eq!(r.next_u64(), by_hand.next_u64(), "stream position");
+        });
+    }
+
+    #[test]
+    fn partial_shuffle_samples_each_item_at_rate_amount_over_n() {
+        let (n, amount, seeds) = (10usize, 3usize, 20_000u64);
+        let mut hits = vec![0u32; n];
+        for seed in 0..seeds {
+            let mut v: Vec<usize> = (0..n).collect();
+            StreamRng::for_component(seed, "partial", 0).partial_shuffle(&mut v, amount);
+            for &x in &v[..amount] {
+                hits[x] += 1;
+            }
+        }
+        let expect = seeds as f64 * amount as f64 / n as f64;
+        for (x, &h) in hits.iter().enumerate() {
+            let dev = (f64::from(h) - expect).abs() / expect;
+            assert!(dev < 0.05, "item {x} sampled {h} times, expected {expect}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot sample")]
+    fn partial_shuffle_rejects_an_amount_past_the_end() {
+        StreamRng::from_seed(1).partial_shuffle(&mut [1, 2], 3);
     }
 
     #[test]

@@ -55,6 +55,10 @@ fn par_contract() {
     };
     assert_eq!(par::join(|| arm(1), || arm(2)), (1, 2));
 
+    // The parallel result is allocated once, at its final size, not grown
+    // chunk by chunk.
+    assert_eq!(par::map(0..1000u64, |i| i * i).capacity(), 1000);
+
     // A panic on a helper or on the caller reaches the caller, and every
     // helper's slot is given back: the next call still gets a helper.
     let r = std::panic::catch_unwind(|| par::for_each(0..64usize, |i| assert!(i != 40, "boom")));
