@@ -9,19 +9,22 @@
 //! congestion control fully protected the victims. At 32 PPN the protection
 //! degrades: 1.2–1.6× on averages, 1.8–7.6× at the 99th percentile.
 //!
-//! Model: with congestion control ON, victim (well-behaved) traffic is
-//! protected — its allocation equals the isolated solve — up to the CC's
-//! flow-tracking capacity; beyond 8 PPN the protection quality fades
-//! (`calibrated:` exponent below) and the victim observes a blend of its
-//! protected and unprotected (per-flow fair with congestors) allocations.
-//! With CC OFF, victims compete per-flow with every congestor stream.
+//! Model: congestion control protects victim traffic with quality
+//! `q = (8/ppn)^0.5` (`calibrated:` constants below), and `q = 0` with CC
+//! OFF. A victim's bandwidth is the blend `q·isolated + (1−q)·mixed` of
+//! its rate in the max-min solve of the victim flows alone and its
+//! per-flow fair rate in the solve of victims and congestors together;
+//! its latency is inflated by `1 + (1−q)·QUEUE_LATENCY_COEFF·util`, where
+//! `util` is the congestor utilization of the busiest link on its path.
+//! At 8 PPN with CC on, `q == 1`: the congested column equals the
+//! isolated one, so the run draws, routes and solves no congestor flow.
 
 use crate::dragonfly::{Dragonfly, DragonflyParams};
 use crate::latency::LatencyModel;
+use crate::maxmin::solve_maxmin;
 use crate::patterns::{broadcast_pairs, incast_pairs, ring_pairs};
 use crate::routing::{RoutePolicy, Router};
-use crate::solver::{ResolveDelta, Solver};
-use crate::topology::{EndpointId, Flow};
+use crate::topology::{EndpointId, Flow, LinkId};
 use frontier_sim_core::prelude::*;
 
 /// Configuration of one GPCNeT run.
@@ -78,7 +81,7 @@ const CC_FADE_EXPONENT: f64 = 0.5;
 
 /// calibrated: latency inflation per unit of congestor utilization on the
 /// victim path when unprotected (head-of-line blocking in switch queues).
-const QUEUE_LATENCY_COEFF: f64 = 3.0;
+pub const QUEUE_LATENCY_COEFF: f64 = 3.0;
 
 /// One measured statistic (a row of Table 5).
 #[derive(Debug, Clone)]
@@ -94,6 +97,21 @@ pub struct TestStat {
 pub struct GpcnetReport {
     pub isolated: Vec<TestStat>,
     pub congested: Vec<TestStat>,
+    /// Congestor utilization of the victims' paths in the mixed solve;
+    /// `None` when `q == 1`, where no mixed solve runs.
+    pub victim_path_util: Option<PathUtil>,
+}
+
+/// Per victim flow, the congestor utilization of the busiest link on its
+/// path, summarised over the victims. The congested latency test inflates
+/// flow `f` by `1 + (1−q)·QUEUE_LATENCY_COEFF·util_f`; the allreduce by
+/// the same with `mean`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PathUtil {
+    pub max: f64,
+    pub mean: f64,
+    /// Victim flows summarised (the latency test's sample count).
+    pub paths: usize,
 }
 
 impl GpcnetReport {
@@ -114,9 +132,9 @@ impl GpcnetReport {
 /// The victim and congestor flow sets of a run.
 ///
 /// All flows live in one vector — victims (vni 0) first, congestors
-/// (vni 1..=5) after — so the isolated solve takes the victim prefix and
-/// the congested solve takes the whole slice without cloning any routed
-/// path. Routing happens exactly once per flow.
+/// (vni 1..=5) after, if built — so the isolated solve takes the victim
+/// prefix and the mixed solve takes the whole slice without cloning any
+/// routed path. Routing happens exactly once per flow.
 struct Workload {
     /// Victim flows, then congestor flows.
     flows: Vec<Flow>,
@@ -160,9 +178,16 @@ pub fn victim_rank_endpoints(df: &Dragonfly, victims: &[usize], ppn: usize) -> V
     victim_rank_ep
 }
 
-fn build_workload(df: &Dragonfly, cfg: &GpcnetConfig) -> Workload {
+/// Draw and route the victim ring pairs and, if `with_congestors`, the five
+/// congestor patterns behind them. Congestor draws follow every victim
+/// draw on the pattern stream and routing is keyed per flow index, so the
+/// victim prefix is the same either way.
+fn build_workload(df: &Dragonfly, cfg: &GpcnetConfig, with_congestors: bool) -> Workload {
     let total_nodes = cfg.nodes.min(df.params().total_nodes());
-    let (victims, congestors) = split_nodes(total_nodes, cfg.congestor_fraction);
+    let (victims, mut congestors) = split_nodes(total_nodes, cfg.congestor_fraction);
+    if !with_congestors {
+        congestors.clear();
+    }
 
     let mut rng = StreamRng::for_component(cfg.seed, "gpcnet", 0);
     let router = Router::new(df, RoutePolicy::adaptive_default());
@@ -265,45 +290,12 @@ pub fn run_on(df: &Dragonfly, cfg: &GpcnetConfig) -> GpcnetReport {
         "dragonfly does not match the GPCNeT config"
     );
     let topo = df.topology();
-    let wl = build_workload(df, cfg);
     let lat = LatencyModel::default();
 
-    // The two solves share one routed flow vector *and* one solver: the
-    // congested solve covers the whole mixed workload, and the isolated
-    // solve is a warm-start re-solve that withdraws the congestor suffix —
-    // only the interference components the congestors actually touched are
-    // re-solved, while victim-only components keep their rates from the
-    // congested solve (in those components the two allocations are
-    // identical by construction). The victim prefix of the warm result is
-    // exactly the cold isolated allocation.
-    let nv = wl.n_victims;
-    let n_flows = wl.flows.len();
-    let mut solver = Solver::new(topo, wl.flows);
-    let mixed_alloc = solver.solve();
-    let iso_alloc = solver.resolve_with(&ResolveDelta::removed_flows((nv..n_flows).collect()));
-    let flows = solver.flows();
-    let victim_flows = &flows[..nv];
-    let util = {
-        let mut load = vec![0.0f64; topo.num_links() as usize];
-        for (f, &r) in flows.iter().zip(&mixed_alloc.rates) {
-            if f.vni != 0 {
-                for l in &f.path {
-                    load[l.0 as usize] += r;
-                }
-            }
-        }
-        load.iter()
-            .enumerate()
-            .map(|(i, &l)| {
-                l / topo
-                    .link(crate::topology::LinkId(i as u32))
-                    .capacity
-                    .as_bytes_per_sec()
-            })
-            .collect::<Vec<f64>>()
-    };
-
-    // Protection quality of the congestion control.
+    // Protection quality of the congestion control. The congested
+    // measurement is protected exactly when CC keeps full quality
+    // (q == 1); it then reads only the isolated rates, so the congestor
+    // flows are neither built nor solved.
     let q = if cfg.congestion_control {
         (CC_CAPACITY_PPN / cfg.ppn as f64)
             .min(1.0)
@@ -311,6 +303,43 @@ pub fn run_on(df: &Dragonfly, cfg: &GpcnetConfig) -> GpcnetReport {
     } else {
         0.0
     };
+    let fully_protected = (q - 1.0).abs() < 1e-12;
+
+    // The isolated solve is a cold solve of the victim prefix; the mixed
+    // solve covers the whole workload and yields the victims' per-flow
+    // fair rates and the congestor utilization of every victim path.
+    let wl = build_workload(df, cfg, !fully_protected);
+    let nv = wl.n_victims;
+    let victim_flows = &wl.flows[..nv];
+    let iso_alloc = solve_maxmin(topo, victim_flows);
+    let (mixed_rates, path_util) = if fully_protected {
+        (Vec::new(), Vec::new())
+    } else {
+        let mixed = solve_maxmin(topo, &wl.flows);
+        let mut load = vec![0.0f64; topo.num_links() as usize];
+        for (f, &r) in wl.flows.iter().zip(&mixed.rates) {
+            if f.vni != 0 {
+                for l in &f.path {
+                    load[l.0 as usize] += r;
+                }
+            }
+        }
+        let util = |l: &LinkId| load[l.0 as usize] / topo.link(*l).capacity.as_bytes_per_sec();
+        let path_util: Vec<f64> = victim_flows
+            .iter()
+            .map(|f| f.path.iter().map(util).fold(0.0f64, f64::max))
+            .collect();
+        (mixed.rates, path_util)
+    };
+    let victim_path_util = (!fully_protected).then(|| PathUtil {
+        max: path_util.iter().copied().fold(0.0f64, f64::max),
+        mean: if nv == 0 {
+            0.0
+        } else {
+            path_util.iter().sum::<f64>() / nv as f64
+        },
+        paths: nv,
+    });
 
     let mut rng = StreamRng::for_component(cfg.seed, "gpcnet-measure", 1);
 
@@ -322,7 +351,7 @@ pub fn run_on(df: &Dragonfly, cfg: &GpcnetConfig) -> GpcnetReport {
                 let rate = if protected {
                     rate_iso
                 } else {
-                    q * rate_iso + (1.0 - q) * mixed_alloc.rates[i]
+                    q * rate_iso + (1.0 - q) * mixed_rates[i]
                 };
                 let rate = rate.max(1e3);
                 let t = lat.message_time(
@@ -338,18 +367,12 @@ pub fn run_on(df: &Dragonfly, cfg: &GpcnetConfig) -> GpcnetReport {
 
     // --- Latency test ---------------------------------------------------
     let lat_samples = |protected: bool, rng: &mut StreamRng| -> Vec<f64> {
-        victim_flows
-            .iter()
-            .map(|f| {
-                let path_util = f
-                    .path
-                    .iter()
-                    .map(|l| util[l.0 as usize])
-                    .fold(0.0f64, f64::max);
+        (0..nv)
+            .map(|i| {
                 let mult = if protected {
                     1.0
                 } else {
-                    1.0 + (1.0 - q) * QUEUE_LATENCY_COEFF * path_util
+                    1.0 + (1.0 - q) * QUEUE_LATENCY_COEFF * path_util[i]
                 };
                 lat.sample_latency(4, mult, rng).as_micros_f64()
             })
@@ -358,24 +381,9 @@ pub fn run_on(df: &Dragonfly, cfg: &GpcnetConfig) -> GpcnetReport {
 
     // --- Allreduce test --------------------------------------------------
     let ar_samples = |protected: bool, rng: &mut StreamRng| -> Vec<f64> {
-        let mean_util = if nv == 0 {
-            0.0
-        } else {
-            victim_flows
-                .iter()
-                .map(|f| {
-                    f.path
-                        .iter()
-                        .map(|l| util[l.0 as usize])
-                        .fold(0.0f64, f64::max)
-                })
-                .sum::<f64>()
-                / nv as f64
-        };
-        let mult = if protected {
-            1.0
-        } else {
-            1.0 + (1.0 - q) * QUEUE_LATENCY_COEFF * mean_util
+        let mult = match victim_path_util {
+            Some(u) if !protected => 1.0 + (1.0 - q) * QUEUE_LATENCY_COEFF * u.mean,
+            _ => 1.0,
         };
         (0..256)
             .map(|_| {
@@ -421,9 +429,6 @@ pub fn run_on(df: &Dragonfly, cfg: &GpcnetConfig) -> GpcnetReport {
             true,
         ),
     ];
-    // The congested measurement is protected exactly when CC keeps full
-    // quality (q == 1).
-    let fully_protected = (q - 1.0).abs() < 1e-12;
     let congested = vec![
         stat(
             "RR Two-sided Lat (8 B)",
@@ -448,6 +453,7 @@ pub fn run_on(df: &Dragonfly, cfg: &GpcnetConfig) -> GpcnetReport {
     GpcnetReport {
         isolated,
         congested,
+        victim_path_util,
     }
 }
 
@@ -488,6 +494,8 @@ pub fn victim_allreduce_des_parallel(df: &Dragonfly, cfg: &GpcnetConfig, size: B
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solver::{ResolveDelta, Solver};
+    use frontier_sim_core::check;
 
     #[test]
     fn cc_on_8ppn_is_ideal() {
@@ -502,14 +510,156 @@ mod tests {
         }
     }
 
+    /// With CC off (`q = 0`) the latency and allreduce impacts are ratios
+    /// of two sample means whose expectations differ by exactly the model's
+    /// multiplier `1 + QUEUE_LATENCY_COEFF·util`, so each may stray from it
+    /// only by the log-normal jitter of its samples (4σ, delta method):
+    ///
+    /// * latency: `n` samples a side, flow `f` scaled by `m_f ≤ m_max`
+    ///   times a unit-mean log-normal of coefficient of variation `c`.
+    ///   `Var Σ m_f X_f = c² Σ m_f² ≤ c² m_max Σ m_f`, so the ratio's
+    ///   relative sd is at most `c·√((1 + m_max/m_mean)/n)`;
+    /// * allreduce: 256 samples a side of one multiplier `m_mean`, jitter
+    ///   σ/5 (`LatencyModel::sample_allreduce`): `c_ar·√(2/256)`.
+    ///
+    /// The utilization floor is the load one fan-of-32 flow puts on a
+    /// local link: a fan's hub link caps each of its 32 flows at `E/32`
+    /// (`E` = endpoint rate), and a local link carries `link_rate`, so
+    /// `floor = protocol_efficiency/32` — on average a victim's busiest
+    /// link carries at least one incast flow.
+    fn assert_cc_off_mechanism(on: &GpcnetReport, off: &GpcnetReport, cfg: &GpcnetConfig) {
+        let u = off.victim_path_util.expect("CC off runs the mixed solve");
+        let cv = |sigma: f64| ((sigma * sigma).exp() - 1.0).sqrt();
+        let sigma = LatencyModel::default().jitter_sigma;
+        let m_mean = 1.0 + QUEUE_LATENCY_COEFF * u.mean;
+        let m_max = 1.0 + QUEUE_LATENCY_COEFF * u.max;
+        let sd_lat = cv(sigma) * ((1.0 + m_max / m_mean) / u.paths as f64).sqrt();
+        let sd_ar = cv(sigma / 5.0) * (2.0f64 / 256.0).sqrt();
+        for (i, sd) in [(0, sd_lat), (2, sd_ar)] {
+            let rel = off.impact_factor(i) / m_mean - 1.0;
+            assert!(
+                rel.abs() < 4.0 * sd,
+                "seed {:#x} test {i}: impact {} vs predicted {m_mean} ({rel:+.4}, 4σ = {:.4})",
+                cfg.seed,
+                off.impact_factor(i),
+                4.0 * sd
+            );
+        }
+        for i in 0..3 {
+            assert!(
+                off.impact_factor(i) > on.impact_factor(i),
+                "seed {:#x} test {i}: CC off {} <= CC on {}",
+                cfg.seed,
+                off.impact_factor(i),
+                on.impact_factor(i)
+            );
+        }
+        let floor = cfg.params.protocol_efficiency / 32.0;
+        assert!(
+            u.mean >= floor,
+            "seed {:#x}: mean victim path util {} below one fan-of-32 flow ({floor})",
+            cfg.seed,
+            u.mean
+        );
+    }
+
     #[test]
     fn cc_off_degrades_victims() {
-        let mut cfg = GpcnetConfig::scaled_for_tests();
-        cfg.congestion_control = false;
-        let r = run(&cfg);
-        // At least the bandwidth or latency test must visibly degrade.
-        let worst = (0..3).map(|i| r.impact_factor(i)).fold(0.0, f64::max);
-        assert!(worst > 1.3, "worst impact {worst} with CC off");
+        let base = GpcnetConfig::scaled_for_tests();
+        let df = Dragonfly::build(base.params.clone());
+        for seed in base.seed..base.seed + 30 {
+            let cfg = GpcnetConfig {
+                seed,
+                ..base.clone()
+            };
+            let on = run_on(&df, &cfg);
+            assert_eq!(on.victim_path_util, None, "q == 1 runs no mixed solve");
+            let off_cfg = GpcnetConfig {
+                congestion_control: false,
+                ..cfg.clone()
+            };
+            assert_cc_off_mechanism(&on, &run_on(&df, &off_cfg), &off_cfg);
+        }
+    }
+
+    /// The isolated column's premise: a cold solve of the victim prefix
+    /// allocates exactly what a warm re-solve that withdraws the congestor
+    /// suffix from the mixed solve leaves the victims.
+    #[test]
+    fn cold_victim_prefix_matches_warm_withdrawal() {
+        let base = GpcnetConfig::scaled_for_tests();
+        let df = Dragonfly::build(base.params.clone());
+        let topo = df.topology();
+        check::cases(4, |g| {
+            let seed = g.range(0u64..1 << 32);
+            for (ppn, congestion_control) in [(8, true), (32, true), (8, false)] {
+                let cfg = GpcnetConfig {
+                    ppn,
+                    congestion_control,
+                    seed,
+                    ..base.clone()
+                };
+                let wl = build_workload(&df, &cfg, true);
+                let (nv, n) = (wl.n_victims, wl.flows.len());
+                let cold = solve_maxmin(topo, &wl.flows[..nv]);
+                let mut solver = Solver::new(topo, wl.flows);
+                solver.solve();
+                let warm = solver.resolve_with(&ResolveDelta::removed_flows((nv..n).collect()));
+                let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert!(n > nv, "congestors were built");
+                assert_eq!(
+                    bits(&cold.rates),
+                    bits(&warm.rates[..nv]),
+                    "ppn {ppn} cc {congestion_control}"
+                );
+            }
+        });
+    }
+
+    /// At `q == 1` the run draws, routes and solves only the victims; every
+    /// other configuration adds one mixed solve.
+    #[test]
+    fn run_on_skips_congestors_when_fully_protected() {
+        use frontier_sim_core::metrics::{MetricsRegistry, MetricsScope};
+        use std::sync::Arc;
+        let base = GpcnetConfig::scaled_for_tests();
+        let df = Dragonfly::build(base.params.clone());
+        let counters = |cfg: &GpcnetConfig| {
+            let reg = Arc::new(MetricsRegistry::new());
+            {
+                let _scope = MetricsScope::enter(Arc::clone(&reg));
+                run_on(&df, cfg);
+            }
+            reg.snapshot().counters
+        };
+
+        let c = counters(&base);
+        let nv = build_workload(&df, &base, false).n_victims as u64;
+        assert_eq!(c.get("fabric.patterns.draws").copied().unwrap_or(0), 0);
+        assert_eq!(c["fabric.route.flows"], nv);
+        assert_eq!(c["fabric.maxmin.solves"], 1);
+        assert!(
+            !c.keys().any(|k| k.starts_with("fabric.maxmin.warm.")),
+            "{c:?}"
+        );
+
+        let ppn32 = GpcnetConfig {
+            ppn: 32,
+            ..base.clone()
+        };
+        let cc_off = GpcnetConfig {
+            congestion_control: false,
+            ..base.clone()
+        };
+        for cfg in [ppn32, cc_off] {
+            let c = counters(&cfg);
+            assert_eq!(
+                c["fabric.maxmin.solves"], 2,
+                "ppn {} cc {}",
+                cfg.ppn, cfg.congestion_control
+            );
+            assert!(c["fabric.patterns.draws"] > 0);
+        }
     }
 
     #[test]
