@@ -37,7 +37,7 @@
 use crate::topology::{Flow, LinkLevel, Topology};
 use frontier_sim_core::units::Bandwidth;
 use frontier_sim_core::{metrics, par};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Relative tolerance for saturation/demand checks (shared with the
 /// event-driven engine so all solver generations batch ties identically).
@@ -92,18 +92,18 @@ impl Allocation {
 /// applications, not individual flows, share contended links equally.
 ///
 /// Building the table once and reusing it across solves avoids both the
-/// per-call `HashMap` construction the solver used to do and the panic the
+/// per-call map construction the solver used to do and the panic the
 /// old closure hit when asked to weigh a flow whose VNI it had never
 /// counted: unknown VNIs fall back to weight 1.0.
 #[derive(Debug, Clone, Default)]
 pub struct VniWeights {
-    counts: HashMap<u32, usize>,
+    counts: BTreeMap<u32, usize>,
 }
 
 impl VniWeights {
     /// Count the flows of each VNI in `flows`.
     pub fn from_flows(flows: &[Flow]) -> Self {
-        let mut counts: HashMap<u32, usize> = HashMap::new();
+        let mut counts: BTreeMap<u32, usize> = BTreeMap::new();
         for f in flows {
             *counts.entry(f.vni).or_insert(0) += 1;
         }

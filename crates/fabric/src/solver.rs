@@ -21,8 +21,7 @@
 //!   link with `avail ≥ link_weight × level` (not yet saturated),
 //!   `(avail − w·level) / (link_weight − w) ≥ avail / link_weight` — so a
 //!   stale entry only ever under-estimates, and the heap minimum, once
-//!   fresh, is the true next event. Cost: O(freezes · log links +
-//!   touched links) instead of O(rounds × links).
+//!   fresh, is the true next event.
 //!
 //! In front of the engine sits an **interference-component decomposition**:
 //! union-find over flows that share a link ([`UnionFind`]). Flows in
@@ -30,14 +29,20 @@
 //! capacity), so each component solves independently — concurrently through
 //! [`par`] when the workload is large — which is what finally gives the
 //! Fig. 6 mega-solve a real `--jobs` speedup when the workload splits.
+//! The decomposition also hands each component its ascending link list and
+//! two global maps, flow → position in its component and link → position
+//! in its component's link list, so every path hop reaches its local state
+//! in O(1). Cost: O(Σ|path| + freezes · log L) per solve, instead of the
+//! round solvers' O(rounds × links).
 //!
 //! [`Solver`] adds **warm-start re-solves** on top: it caches the per-flow
 //! rates of the last solve, and [`Solver::resolve_with`] re-solves only
 //! the components touched by a delta (removed links, re-routed flows,
 //! removed flows), copying every untouched component's rates straight
-//! from the cache. The fabric manager's failure sweep and GPCNeT's
-//! isolated/congested pair both re-solve workloads that differ from the
-//! previous solve in a handful of paths, which is exactly this shape.
+//! from the cache. The fabric manager's failure sweep, the UGAL
+//! minimal-vs-adaptive comparison and the campaign engine's capacity sweep
+//! all re-solve workloads that differ from the previous solve in a handful
+//! of paths or capacities, which is exactly this shape.
 //!
 //! Tolerance semantics are inherited from the round solvers: all events
 //! within `REL_EPS` (relative) of the batch level freeze at the *same*
@@ -93,12 +98,27 @@ pub(crate) fn build_index(nl: usize, paths: &[&[LinkId]]) -> FlowIndex {
     }
 }
 
-/// Interference components: flows sharing any link are unioned; each
-/// returned group lists its member flow ids in ascending order, and the
-/// groups themselves are ordered by their smallest member — a
+/// Interference components and the component-local index of every flow
+/// and link. A flow or link belongs to at most one component, so the two
+/// global maps are shared read-only by the concurrent component solves.
+pub(crate) struct Components {
+    /// Member flow ids of each component, ascending; the components are
+    /// ordered by their smallest member.
+    pub members: Vec<Vec<u32>>,
+    /// The links each component's members cross, ascending.
+    pub links: Vec<Vec<u32>>,
+    /// Each flow's position in its component's `members` (`u32::MAX` for
+    /// flows with an empty path).
+    pub flow_local: Vec<u32>,
+    /// Each link's position in its component's `links` (`u32::MAX` for
+    /// links no flow crosses).
+    pub link_local: Vec<u32>,
+}
+
+/// Interference components: flows sharing any link are unioned — a
 /// deterministic decomposition regardless of how the solve later
 /// parallelizes. Flows with an empty path belong to no component.
-pub(crate) fn find_components(paths: &[&[LinkId]], idx: &FlowIndex) -> Vec<Vec<u32>> {
+pub(crate) fn find_components(paths: &[&[LinkId]], idx: &FlowIndex) -> Components {
     let nf = paths.len();
     let mut uf = UnionFind::new(nf);
     let nl = idx.deg.len();
@@ -109,20 +129,41 @@ pub(crate) fn find_components(paths: &[&[LinkId]], idx: &FlowIndex) -> Vec<Vec<u
             uf.union(idx.link_flows[s], idx.link_flows[k]);
         }
     }
-    let mut comp_of_root: std::collections::HashMap<u32, usize> = std::collections::HashMap::new();
-    let mut comps: Vec<Vec<u32>> = Vec::new();
+    let mut comp_of_root = vec![u32::MAX; nf];
+    let mut members: Vec<Vec<u32>> = Vec::new();
+    let mut flow_local = vec![u32::MAX; nf];
     for fi in 0..nf as u32 {
         if paths[fi as usize].is_empty() {
             continue;
         }
-        let root = uf.find(fi);
-        let id = *comp_of_root.entry(root).or_insert_with(|| {
-            comps.push(Vec::new());
-            comps.len() - 1
-        });
-        comps[id].push(fi);
+        let root = uf.find(fi) as usize;
+        if comp_of_root[root] == u32::MAX {
+            comp_of_root[root] = members.len() as u32;
+            members.push(Vec::new());
+        }
+        let comp = &mut members[comp_of_root[root] as usize];
+        flow_local[fi as usize] = comp.len() as u32;
+        comp.push(fi);
     }
-    comps
+    // Walking the links in order leaves every link list ascending; a link
+    // joins the component of the first flow crossing it.
+    let mut links: Vec<Vec<u32>> = vec![Vec::new(); members.len()];
+    let mut link_local = vec![u32::MAX; nl];
+    for (l, local) in link_local.iter_mut().enumerate() {
+        if idx.deg[l] == 0 {
+            continue;
+        }
+        let root = uf.find(idx.link_flows[idx.off[l] as usize]) as usize;
+        let comp = &mut links[comp_of_root[root] as usize];
+        *local = comp.len() as u32;
+        comp.push(l as u32);
+    }
+    Components {
+        members,
+        links,
+        flow_local,
+        link_local,
+    }
 }
 
 /// A link saturation event: "link `link` saturates when the water level
@@ -167,6 +208,16 @@ struct CompResult {
     frozen_saturation: u64,
 }
 
+/// The read-only inputs every component solve shares.
+struct Shared<'a> {
+    caps: &'a [f64],
+    paths: &'a [&'a [LinkId]],
+    demands: &'a [f64],
+    weights: &'a [f64],
+    idx: &'a FlowIndex,
+    comps: &'a Components,
+}
+
 /// Freeze flow `ci` (component-local index) at `weight × level`,
 /// withdrawing its weight and rate from every link it crosses and
 /// invalidating their heap keys.
@@ -175,9 +226,7 @@ fn freeze_flow(
     ci: usize,
     level: f64,
     comp: &[u32],
-    paths: &[&[LinkId]],
-    weights: &[f64],
-    links: &[u32],
+    sh: &Shared,
     active: &mut [bool],
     rates: &mut [f64],
     avail: &mut [f64],
@@ -185,52 +234,35 @@ fn freeze_flow(
     stamps: &mut [u32],
 ) {
     let gfi = comp[ci] as usize;
-    let w = weights[gfi];
+    let w = sh.weights[gfi];
     let r = w * level;
     rates[ci] = r;
     active[ci] = false;
-    for l in paths[gfi] {
-        let li = links
-            .binary_search(&l.0)
-            // simlint::allow(panic-in-lib): component decomposition put every path link in `links`; a Result in the innermost freeze loop would cost more than the solve
-            .expect("path link outside its component");
+    for l in sh.paths[gfi] {
+        let li = sh.comps.link_local[l.0 as usize] as usize;
         lweight[li] -= w;
         avail[li] -= r;
         stamps[li] = stamps[li].wrapping_add(1);
     }
 }
 
-/// Solve one interference component with the bottleneck-event engine.
+/// Solve interference component `c` with the bottleneck-event engine.
 ///
-/// `comp` lists the member flow ids (ascending); all state is local to
-/// the component's link set, so disjoint components can run concurrently.
-fn solve_component(
-    caps: &[f64],
-    paths: &[&[LinkId]],
-    demands: &[f64],
-    weights: &[f64],
-    idx: &FlowIndex,
-    comp: &[u32],
-) -> CompResult {
-    // Local link universe: every link any member crosses, sorted so the
-    // global→local mapping is a binary search.
-    let mut links: Vec<u32> = comp
-        .iter()
-        .flat_map(|&fi| paths[fi as usize].iter().map(|l| l.0))
-        .collect();
-    links.sort_unstable();
-    links.dedup();
+/// All mutable state is local to the component's link list, so disjoint
+/// components can run concurrently.
+fn solve_component(sh: &Shared, c: usize) -> CompResult {
+    let comp = &sh.comps.members[c];
+    let links = &sh.comps.links[c];
     let nll = links.len();
     let ncf = comp.len();
 
-    let ccaps: Vec<f64> = links.iter().map(|&l| caps[l as usize]).collect();
+    let ccaps: Vec<f64> = links.iter().map(|&l| sh.caps[l as usize]).collect();
     let mut avail = ccaps.clone();
     let mut lweight = vec![0.0f64; nll];
     for &fi in comp {
-        let w = weights[fi as usize];
-        for l in paths[fi as usize] {
-            // simlint::allow(panic-in-lib): `links` is built from exactly these paths two loops up; hot-path invariant, see DESIGN §3.6
-            let li = links.binary_search(&l.0).expect("link in local universe");
+        let w = sh.weights[fi as usize];
+        for l in sh.paths[fi as usize] {
+            let li = sh.comps.link_local[l.0 as usize] as usize;
             lweight[li] += w;
         }
     }
@@ -247,7 +279,7 @@ fn solve_component(
         .iter()
         .enumerate()
         .filter_map(|(ci, &fi)| {
-            let dw = demands[fi as usize] / weights[fi as usize];
+            let dw = sh.demands[fi as usize] / sh.weights[fi as usize];
             dw.is_finite().then_some((dw, ci as u32))
         })
         .collect();
@@ -337,9 +369,7 @@ fn solve_component(
                     ci,
                     level,
                     comp,
-                    paths,
-                    weights,
-                    &links,
+                    sh,
                     &mut active,
                     &mut rates,
                     &mut avail,
@@ -377,12 +407,8 @@ fn solve_component(
             done[li] = true;
             // Freeze every active flow crossing the saturated link.
             let gl = links[li] as usize;
-            for k in idx.off[gl]..idx.off[gl + 1] {
-                let gfi = idx.link_flows[k as usize];
-                let ci = comp
-                    .binary_search(&gfi)
-                    // simlint::allow(panic-in-lib): flows sharing a link are by construction in the same connected component
-                    .expect("link's flow outside its component");
+            for k in sh.idx.off[gl]..sh.idx.off[gl + 1] {
+                let ci = sh.comps.flow_local[sh.idx.link_flows[k as usize] as usize] as usize;
                 if active[ci] {
                     n_active -= 1;
                     frozen_saturation += 1;
@@ -390,9 +416,7 @@ fn solve_component(
                         ci,
                         level,
                         comp,
-                        paths,
-                        weights,
-                        &links,
+                        sh,
                         &mut active,
                         &mut rates,
                         &mut avail,
@@ -412,33 +436,25 @@ fn solve_component(
     }
 }
 
-/// Solve a set of components, scattering per-flow rates into `rates`
-/// (indexed by global flow id). Components solve concurrently through
-/// [`par`] when the workload is large enough; results are identical
-/// either way because components share no state. Returns
-/// `(freeze events, frozen by demand, frozen by saturation)`.
-fn solve_components(
-    caps: &[f64],
-    paths: &[&[LinkId]],
-    demands: &[f64],
-    weights: &[f64],
-    idx: &FlowIndex,
-    comps: &[Vec<u32>],
-    rates: &mut [f64],
-) -> (usize, u64, u64) {
-    let work: usize = comps.iter().map(|c| c.len()).sum();
-    let parallel = comps.len() > 1 && work >= COMPONENT_PAR_THRESHOLD;
-    let solve = |comp: &Vec<u32>| solve_component(caps, paths, demands, weights, idx, comp);
+/// Solve the components numbered in `ids`, scattering per-flow rates
+/// into `rates` (indexed by global flow id). Components solve
+/// concurrently through [`par`] when the workload is large enough;
+/// results are identical either way because components share no mutable
+/// state. Returns `(freeze events, frozen by demand, frozen by saturation)`.
+fn solve_components(sh: &Shared, ids: &[usize], rates: &mut [f64]) -> (usize, u64, u64) {
+    let work: usize = ids.iter().map(|&c| sh.comps.members[c].len()).sum();
+    let parallel = ids.len() > 1 && work >= COMPONENT_PAR_THRESHOLD;
+    let solve = |&c: &usize| solve_component(sh, c);
     let results: Vec<CompResult> = if parallel {
-        par::map(comps, solve)
+        par::map(ids, solve)
     } else {
-        comps.iter().map(solve).collect()
+        ids.iter().map(solve).collect()
     };
     let mut freezes = 0usize;
     let mut fd = 0u64;
     let mut fs = 0u64;
-    for (comp, res) in comps.iter().zip(&results) {
-        for (&fi, &r) in comp.iter().zip(&res.rates) {
+    for (&c, res) in ids.iter().zip(&results) {
+        for (&fi, &r) in sh.comps.members[c].iter().zip(&res.rates) {
             rates[fi as usize] = r;
         }
         freezes += res.freezes;
@@ -488,34 +504,39 @@ fn publish_v3_metrics(
     m.counter("fabric.maxmin.freeze_events").add(freezes as u64);
 }
 
-/// Cold event-driven solve over a routed flow set — the engine behind
-/// every [`crate::maxmin`] entry point.
-pub(crate) fn solve_event_driven(topo: &Topology, flows: &[Flow], weights: &[f64]) -> Allocation {
-    let nl = topo.num_links() as usize;
-    let nf = flows.len();
-    let caps: Vec<f64> = topo
-        .links()
-        .iter()
-        .map(|l| l.capacity.as_bytes_per_sec())
-        .collect();
-    let paths: Vec<&[LinkId]> = flows.iter().map(|f| f.path.as_slice()).collect();
-    let demands: Vec<f64> = flows.iter().map(|f| f.demand.as_bytes_per_sec()).collect();
-    let idx = build_index(nl, &paths);
-    let comps = find_components(&paths, &idx);
-    let mut rates = vec![0.0f64; nf];
-    let (freezes, fd, fs) =
-        solve_components(&caps, &paths, &demands, weights, &idx, &comps, &mut rates);
+/// Cold solve of every component of `paths`, publishing its telemetry.
+fn solve_cold(
+    topo: &Topology,
+    caps: &[f64],
+    paths: &[&[LinkId]],
+    demands: &[f64],
+    weights: &[f64],
+) -> Allocation {
+    let idx = build_index(caps.len(), paths);
+    let comps = find_components(paths, &idx);
+    let ncomp = comps.members.len();
+    let mut rates = vec![0.0f64; paths.len()];
+    let sh = Shared {
+        caps,
+        paths,
+        demands,
+        weights,
+        idx: &idx,
+        comps: &comps,
+    };
+    let ids: Vec<usize> = (0..ncomp).collect();
+    let (freezes, fd, fs) = solve_components(&sh, &ids, &mut rates);
     if let Some(m) = metrics::active() {
         publish_v3_metrics(
             &m,
             topo,
-            &paths,
+            paths,
             &rates,
-            &caps,
+            caps,
             &idx.deg,
-            nf,
+            paths.len(),
             freezes,
-            comps.len(),
+            ncomp,
             fd,
             fs,
         );
@@ -523,8 +544,21 @@ pub(crate) fn solve_event_driven(topo: &Topology, flows: &[Flow], weights: &[f64
     Allocation {
         rates,
         rounds: freezes,
-        components: comps.len(),
+        components: ncomp,
     }
+}
+
+/// Cold event-driven solve over a routed flow set — the engine behind
+/// every [`crate::maxmin`] entry point.
+pub(crate) fn solve_event_driven(topo: &Topology, flows: &[Flow], weights: &[f64]) -> Allocation {
+    let caps: Vec<f64> = topo
+        .links()
+        .iter()
+        .map(|l| l.capacity.as_bytes_per_sec())
+        .collect();
+    let paths: Vec<&[LinkId]> = flows.iter().map(|f| f.path.as_slice()).collect();
+    let demands: Vec<f64> = flows.iter().map(|f| f.demand.as_bytes_per_sec()).collect();
+    solve_cold(topo, &caps, &paths, &demands, weights)
 }
 
 /// A change set for [`Solver::resolve_with`]. Every link named here —
@@ -660,42 +694,16 @@ impl<'a> Solver<'a> {
 
     /// Cold solve of the current workload, (re)priming the rate cache.
     pub fn solve(&mut self) -> Allocation {
-        let paths = self.paths_view();
-        let demands = self.demands();
-        let idx = build_index(self.caps.len(), &paths);
-        let comps = find_components(&paths, &idx);
-        let mut rates = vec![0.0f64; self.flows.len()];
-        let (freezes, fd, fs) = solve_components(
+        let a = solve_cold(
+            self.topo,
             &self.caps,
-            &paths,
-            &demands,
+            &self.paths_view(),
+            &self.demands(),
             &self.weights,
-            &idx,
-            &comps,
-            &mut rates,
         );
-        if let Some(m) = metrics::active() {
-            publish_v3_metrics(
-                &m,
-                self.topo,
-                &paths,
-                &rates,
-                &self.caps,
-                &idx.deg,
-                self.flows.len(),
-                freezes,
-                comps.len(),
-                fd,
-                fs,
-            );
-        }
-        self.rates = rates;
+        self.rates = a.rates.clone();
         self.solved = true;
-        Allocation {
-            rates: self.rates.clone(),
-            rounds: freezes,
-            components: comps.len(),
-        }
+        a
     }
 
     /// Apply `delta` and re-solve, reusing the cached rates of every
@@ -750,13 +758,10 @@ impl<'a> Solver<'a> {
 
         let mut rates = vec![0.0f64; self.flows.len()];
         let mut reused = 0usize;
-        let mut to_solve: Vec<Vec<u32>> = Vec::new();
-        for comp in &comps {
-            let comp_dirty = comp
-                .iter()
-                .any(|&fi| paths[fi as usize].iter().any(|l| dirty[l.0 as usize]));
-            if comp_dirty {
-                to_solve.push(comp.clone());
+        let mut to_solve: Vec<usize> = Vec::new();
+        for (c, (comp, links)) in comps.members.iter().zip(&comps.links).enumerate() {
+            if links.iter().any(|&l| dirty[l as usize]) {
+                to_solve.push(c);
             } else {
                 for &fi in comp {
                     rates[fi as usize] = self.rates[fi as usize];
@@ -764,16 +769,16 @@ impl<'a> Solver<'a> {
                 reused += 1;
             }
         }
-        let resolved_flows: usize = to_solve.iter().map(|c| c.len()).sum();
-        let (freezes, fd, fs) = solve_components(
-            &self.caps,
-            &paths,
-            &demands,
-            &self.weights,
-            &idx,
-            &to_solve,
-            &mut rates,
-        );
+        let resolved_flows: usize = to_solve.iter().map(|&c| comps.members[c].len()).sum();
+        let sh = Shared {
+            caps: &self.caps,
+            paths: &paths,
+            demands: &demands,
+            weights: &self.weights,
+            idx: &idx,
+            comps: &comps,
+        };
+        let (freezes, fd, fs) = solve_components(&sh, &to_solve, &mut rates);
         if let Some(m) = metrics::active() {
             publish_v3_metrics(
                 &m,
@@ -800,7 +805,7 @@ impl<'a> Solver<'a> {
         Allocation {
             rates: self.rates.clone(),
             rounds: freezes,
-            components: comps.len(),
+            components: comps.members.len(),
         }
     }
 }
@@ -808,8 +813,12 @@ impl<'a> Solver<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dragonfly::{Dragonfly, DragonflyParams};
     use crate::maxmin::{solve_maxmin, solve_maxmin_reference};
+    use crate::routing::{RoutePolicy, Router};
     use crate::topology::{EndpointId, LinkLevel, SwitchId};
+    use frontier_sim_core::check;
+    use frontier_sim_core::rng::StreamRng;
 
     fn assert_close(a: &[f64], b: &[f64]) {
         assert_eq!(a.len(), b.len());
@@ -839,6 +848,105 @@ mod tests {
             }
         }
         (t, flows)
+    }
+
+    /// Every component's link list and the two global→local maps agree
+    /// with the member paths they were derived from.
+    fn assert_decomposition(paths: &[&[LinkId]], nl: usize) {
+        let idx = build_index(nl, paths);
+        let comps = find_components(paths, &idx);
+        assert_eq!(comps.members.len(), comps.links.len());
+        let mut seen = vec![0u32; paths.len()];
+        let mut listed = vec![false; nl];
+        for (c, (members, links)) in comps.members.iter().zip(&comps.links).enumerate() {
+            assert!(members.windows(2).all(|w| w[0] < w[1]));
+            if c > 0 {
+                assert!(
+                    comps.members[c - 1][0] < members[0],
+                    "components out of order"
+                );
+            }
+            let mut union: Vec<u32> = members
+                .iter()
+                .flat_map(|&fi| paths[fi as usize].iter().map(|l| l.0))
+                .collect();
+            union.sort_unstable();
+            union.dedup();
+            assert_eq!(*links, union, "component {c}'s link list");
+            for (i, &fi) in members.iter().enumerate() {
+                assert_eq!(comps.flow_local[fi as usize], i as u32);
+                seen[fi as usize] += 1;
+            }
+            for (j, &l) in links.iter().enumerate() {
+                assert_eq!(comps.link_local[l as usize], j as u32);
+                listed[l as usize] = true;
+            }
+        }
+        for (fi, p) in paths.iter().enumerate() {
+            assert_eq!(seen[fi], u32::from(!p.is_empty()), "flow {fi}");
+        }
+        // Links no live flow crosses (only withdrawn ones, or none) belong
+        // to no component.
+        for (l, &listed) in listed.iter().enumerate() {
+            assert_eq!(listed, idx.deg[l] > 0, "link {l}");
+            assert_eq!(comps.link_local[l] == u32::MAX, !listed, "link {l}");
+        }
+    }
+
+    #[test]
+    fn decomposition_indices_invert_and_solves_agree_bitwise() {
+        check::cases(32, |g| {
+            let df = Dragonfly::build(DragonflyParams::scaled(
+                g.range(2..6),
+                g.range(1..5),
+                g.range(1..4),
+            ));
+            let topo = df.topology();
+            let n = df.params().total_endpoints();
+            check::assume(n >= 2);
+            let router = Router::new(&df, RoutePolicy::adaptive_default());
+            let mut rng = StreamRng::from_seed(g.range(0..u64::MAX));
+            let mut flows: Vec<Flow> = g.vec(1..60, |g| {
+                let s = g.range(0..n);
+                let d = (s + g.range(1..n)) % n;
+                let (s, d) = (EndpointId(s as u32), EndpointId(d as u32));
+                let path = if g.range(0..6u32) == 0 {
+                    Vec::new()
+                } else {
+                    router.route(s, d, &mut rng)
+                };
+                let mut f = Flow::saturating(s, d, path, g.range(0..4));
+                if g.bool() {
+                    f.demand = Bandwidth::gb_s(g.range(0.5..30.0));
+                }
+                f
+            });
+            let withdrawn: Vec<usize> =
+                (0..flows.len()).filter(|_| g.range(0..4u32) == 0).collect();
+            let nl = topo.num_links() as usize;
+
+            let paths: Vec<&[LinkId]> = flows.iter().map(|f| f.path.as_slice()).collect();
+            assert_decomposition(&paths, nl);
+            let bits = |a: &Allocation| a.rates.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
+            let direct = solve_maxmin(topo, &flows);
+            let mut solver = Solver::new(topo, flows.clone());
+            assert_eq!(bits(&solver.solve()), bits(&direct));
+            let warm = solver.resolve_with(&ResolveDelta::default());
+            assert_eq!(bits(&warm), bits(&direct));
+
+            // Withdraw flows: their links drop out of the decomposition, and
+            // the warm, cold and free-function solves still agree bit for bit.
+            let warm = solver.resolve_with(&ResolveDelta::removed_flows(withdrawn.clone()));
+            assert_decomposition(&solver.paths_view(), nl);
+            for &fi in &withdrawn {
+                flows[fi].path.clear();
+            }
+            let direct = solve_maxmin(topo, &flows);
+            assert_eq!(bits(&warm), bits(&direct));
+            assert_eq!(bits(&solver.solve()), bits(&direct));
+            let warm = solver.resolve_with(&ResolveDelta::default());
+            assert_eq!(bits(&warm), bits(&direct));
+        });
     }
 
     #[test]
