@@ -583,7 +583,8 @@ mod tests {
         let result = run(&spec, Mode::Serial);
         // Cold oracle: for every (shape, seed, cap), route at the
         // track's base point and solve from scratch on a topology built
-        // directly at the variant capacities.
+        // directly at the variant capacities. The warm chain must match it
+        // bit for bit.
         for track in plan::plan(&spec) {
             let df = cache::dragonfly(track.shape.params(&track.steps[0].cap));
             let n = df.params().total_endpoints();
@@ -601,9 +602,9 @@ mod tests {
                         (got.mean_gb_s, oracle.summary.mean),
                         (got.max_gb_s, oracle.summary.max),
                     ] {
-                        let tol = 1e-9 * w.abs().max(1.0);
-                        assert!(
-                            (g - w).abs() <= tol,
+                        assert_eq!(
+                            g.to_bits(),
+                            w.to_bits(),
                             "variant {}: warm {g} vs cold {w}",
                             v.index
                         );

@@ -17,8 +17,9 @@
 //! # Algorithm
 //!
 //! The public entry points now delegate to the event-driven engine in
-//! [`crate::solver`]: a min-heap of per-link saturation events jumps the
-//! water level freeze to freeze (lazily re-keying only touched links),
+//! [`crate::solver`]: a once-sorted queue of per-link saturation events
+//! jumps the water level freeze to freeze (lazily re-keying only touched
+//! links),
 //! and a union-find decomposition solves independent interference
 //! components concurrently. Two older generations stay in this module as
 //! oracles and baselines:

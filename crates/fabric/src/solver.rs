@@ -1,4 +1,4 @@
-//! Event-driven max-min solver (v3): bottleneck-event heap, interference
+//! Event-driven max-min solver (v3): bottleneck events, interference
 //! components, and warm-start re-solves.
 //!
 //! The incremental solver ([`crate::maxmin`]) still walks the water level
@@ -9,18 +9,20 @@
 //! * Every link has a known water level at which it saturates,
 //!   `avail / link_weight`; every demand-limited flow has a static level
 //!   `demand / weight` at which it caps out. Both are *events*.
-//! * Link events live in a min-heap keyed by saturation level; demand
-//!   events are a sorted array walked by a cursor (demands never change
-//!   mid-solve). The solver jumps the global water level from event to
-//!   event instead of re-deriving the minimum each round.
+//! * Demand events are a sorted array walked by a cursor (demands never
+//!   change mid-solve). Link events live in an [`EventQueue`]: the initial
+//!   events are sorted once and walked by a cursor too, and only re-keyed
+//!   events go through a (small) binary heap. The solver jumps the global
+//!   water level from event to event instead of re-deriving the minimum
+//!   each round.
 //! * Freezing a flow changes the saturation level of only the links on
 //!   its path. Those links are *lazily* re-keyed: a per-link stamp is
-//!   bumped on every update, and a popped heap entry whose stamp is stale
-//!   is re-keyed and re-pushed. This is sound because freezing a flow can
+//!   bumped on every update, and a popped entry whose stamp is stale is
+//!   re-keyed and re-pushed. This is sound because freezing a flow can
 //!   only **raise** the saturation level of the remaining links — for a
 //!   link with `avail ≥ link_weight × level` (not yet saturated),
 //!   `(avail − w·level) / (link_weight − w) ≥ avail / link_weight` — so a
-//!   stale entry only ever under-estimates, and the heap minimum, once
+//!   stale entry only ever under-estimates, and the queue minimum, once
 //!   fresh, is the true next event.
 //!
 //! In front of the engine sits an **interference-component decomposition**:
@@ -32,17 +34,21 @@
 //! The decomposition also hands each component its ascending link list and
 //! two global maps, flow → position in its component and link → position
 //! in its component's link list, so every path hop reaches its local state
-//! in O(1). Cost: O(Σ|path| + freezes · log L) per solve, instead of the
-//! round solvers' O(rounds × links).
+//! in O(1). Cost: O(Σ|path| + L log L + rekeys · log rekeys) per solve,
+//! instead of the round solvers' O(rounds × links).
 //!
 //! [`Solver`] adds **warm-start re-solves** on top: it caches the per-flow
 //! rates of the last solve, and [`Solver::resolve_with`] re-solves only
-//! the components touched by a delta (removed links, re-routed flows,
-//! removed flows), copying every untouched component's rates straight
-//! from the cache. The fabric manager's failure sweep, the UGAL
-//! minimal-vs-adaptive comparison and the campaign engine's capacity sweep
-//! all re-solve workloads that differ from the previous solve in a handful
-//! of paths or capacities, which is exactly this shape.
+//! the components touched by a delta (removed links, re-provisioned
+//! capacities, re-routed flows, removed flows), copying every untouched
+//! component's rates straight from the cache. It also keeps the
+//! decomposition: a delta that moves no path (capacity changes and link
+//! removals only) leaves the flow index and the components valid, so they
+//! are rebuilt only when a flow is re-routed or withdrawn. The fabric
+//! manager's failure sweep, the UGAL minimal-vs-adaptive comparison and
+//! the campaign engine's capacity sweep all re-solve workloads that differ
+//! from the previous solve in a handful of paths or capacities, which is
+//! exactly this shape.
 //!
 //! Tolerance semantics are inherited from the round solvers: all events
 //! within `REL_EPS` (relative) of the batch level freeze at the *same*
@@ -53,7 +59,7 @@ use crate::maxmin::{publish_solve_metrics, Allocation, REL_EPS};
 use crate::topology::{Flow, LinkId, Topology, UnionFind};
 use frontier_sim_core::units::Bandwidth;
 use frontier_sim_core::{metrics, par};
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 /// Minimum total flow count before a multi-component solve fans the
@@ -71,7 +77,7 @@ pub(crate) struct FlowIndex {
     pub link_flows: Vec<u32>,
 }
 
-pub(crate) fn build_index(nl: usize, paths: &[&[LinkId]]) -> FlowIndex {
+fn build_index(nl: usize, paths: &[&[LinkId]]) -> FlowIndex {
     let mut deg = vec![0u32; nl];
     for p in paths {
         for l in *p {
@@ -98,10 +104,14 @@ pub(crate) fn build_index(nl: usize, paths: &[&[LinkId]]) -> FlowIndex {
     }
 }
 
-/// Interference components and the component-local index of every flow
-/// and link. A flow or link belongs to at most one component, so the two
-/// global maps are shared read-only by the concurrent component solves.
+/// Interference components, the flow index they were derived from, and
+/// the component-local index of every flow and link. A flow or link
+/// belongs to at most one component, so the two global maps are shared
+/// read-only by the concurrent component solves. All of it depends only on
+/// the paths, so it stays valid across capacity changes.
 pub(crate) struct Components {
+    /// The flows crossing each link.
+    pub idx: FlowIndex,
     /// Member flow ids of each component, ascending; the components are
     /// ordered by their smallest member.
     pub members: Vec<Vec<u32>>,
@@ -115,13 +125,14 @@ pub(crate) struct Components {
     pub link_local: Vec<u32>,
 }
 
-/// Interference components: flows sharing any link are unioned — a
-/// deterministic decomposition regardless of how the solve later
-/// parallelizes. Flows with an empty path belong to no component.
-pub(crate) fn find_components(paths: &[&[LinkId]], idx: &FlowIndex) -> Components {
+/// Interference components of `paths` over `nl` links: flows sharing any
+/// link are unioned — a deterministic decomposition regardless of how the
+/// solve later parallelizes. Flows with an empty path belong to no
+/// component.
+pub(crate) fn find_components(nl: usize, paths: &[&[LinkId]]) -> Components {
+    let idx = build_index(nl, paths);
     let nf = paths.len();
     let mut uf = UnionFind::new(nf);
-    let nl = idx.deg.len();
     for l in 0..nl {
         let s = idx.off[l] as usize;
         let e = idx.off[l + 1] as usize;
@@ -159,6 +170,7 @@ pub(crate) fn find_components(paths: &[&[LinkId]], idx: &FlowIndex) -> Component
         comp.push(l as u32);
     }
     Components {
+        idx,
         members,
         links,
         flow_local,
@@ -198,6 +210,53 @@ impl PartialEq for LinkEvent {
 }
 impl Eq for LinkEvent {}
 
+/// The pending link events of one component solve, in [`LinkEvent`]
+/// order. The initial events (one per link, stamp 0) are sorted once and
+/// walked by a cursor; only re-keyed events (stamp ≥ 1) go through a
+/// binary heap, which stays small because few links are ever re-keyed.
+/// Every entry is distinct under `Ord`, so the pop order is exactly that
+/// of one heap over all of them.
+struct EventQueue {
+    initial: Vec<LinkEvent>,
+    cursor: usize,
+    rekeyed: BinaryHeap<Reverse<LinkEvent>>,
+}
+
+impl EventQueue {
+    fn new(mut initial: Vec<LinkEvent>) -> Self {
+        initial.sort_unstable();
+        EventQueue {
+            initial,
+            cursor: 0,
+            rekeyed: BinaryHeap::new(),
+        }
+    }
+
+    /// The smallest pending event.
+    fn peek(&self) -> Option<LinkEvent> {
+        let rekeyed = self.rekeyed.peek().map(|r| r.0);
+        match (self.initial.get(self.cursor).copied(), rekeyed) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
+    }
+
+    fn pop(&mut self) -> Option<LinkEvent> {
+        match (self.initial.get(self.cursor), self.rekeyed.peek()) {
+            (Some(a), Some(Reverse(b))) if b < a => self.rekeyed.pop().map(|r| r.0),
+            (Some(&a), _) => {
+                self.cursor += 1;
+                Some(a)
+            }
+            (None, _) => self.rekeyed.pop().map(|r| r.0),
+        }
+    }
+
+    fn push(&mut self, ev: LinkEvent) {
+        self.rekeyed.push(Reverse(ev));
+    }
+}
+
 /// Result of one component's solve.
 struct CompResult {
     /// Rates parallel to the component's member list.
@@ -214,13 +273,12 @@ struct Shared<'a> {
     paths: &'a [&'a [LinkId]],
     demands: &'a [f64],
     weights: &'a [f64],
-    idx: &'a FlowIndex,
     comps: &'a Components,
 }
 
 /// Freeze flow `ci` (component-local index) at `weight × level`,
 /// withdrawing its weight and rate from every link it crosses and
-/// invalidating their heap keys.
+/// invalidating their queued events.
 #[allow(clippy::too_many_arguments)]
 fn freeze_flow(
     ci: usize,
@@ -286,16 +344,16 @@ fn solve_component(sh: &Shared, c: usize) -> CompResult {
     devents.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
     let mut dcursor = 0usize;
 
-    let mut heap: BinaryHeap<std::cmp::Reverse<LinkEvent>> = BinaryHeap::with_capacity(nll);
-    for li in 0..nll {
-        if lweight[li] > REL_EPS {
-            heap.push(std::cmp::Reverse(LinkEvent {
+    let mut queue = EventQueue::new(
+        (0..nll)
+            .filter(|&li| lweight[li] > REL_EPS)
+            .map(|li| LinkEvent {
                 level: avail[li] / lweight[li],
                 link: li as u32,
                 stamp: 0,
-            }));
-        }
-    }
+            })
+            .collect(),
+    );
 
     let mut level = 0.0f64;
     let mut freezes = 0usize;
@@ -315,29 +373,29 @@ fn solve_component(sh: &Shared, c: usize) -> CompResult {
         }
         let demand_level = devents.get(dcursor).map(|e| e.0).unwrap_or(f64::INFINITY);
 
-        // Next link event: surface a fresh heap minimum, re-keying stale
+        // Next link event: surface a fresh queue minimum, re-keying stale
         // entries as they come up (their true level is always ≥ the stale
-        // key, so a fresh top is the true minimum).
+        // key, so a fresh head is the true minimum).
         let link_level = loop {
-            match heap.peek() {
+            match queue.peek() {
                 None => break f64::INFINITY,
-                Some(&std::cmp::Reverse(ev)) => {
+                Some(ev) => {
                     let li = ev.link as usize;
                     if done[li] {
-                        heap.pop();
+                        queue.pop();
                         continue;
                     }
                     if ev.stamp != stamps[li] {
-                        heap.pop();
+                        queue.pop();
                         if lweight[li] <= REL_EPS {
                             done[li] = true; // all its flows already froze
                             continue;
                         }
-                        heap.push(std::cmp::Reverse(LinkEvent {
+                        queue.push(LinkEvent {
                             level: avail[li] / lweight[li],
                             link: li as u32,
                             stamp: stamps[li],
-                        }));
+                        });
                         continue;
                     }
                     break ev.level;
@@ -378,37 +436,38 @@ fn solve_component(sh: &Shared, c: usize) -> CompResult {
                 );
             }
         }
-        while let Some(&std::cmp::Reverse(ev)) = heap.peek() {
+        while let Some(ev) = queue.peek() {
             let li = ev.link as usize;
             let stale = ev.stamp != stamps[li];
             if done[li] {
-                heap.pop();
+                queue.pop();
                 continue;
             }
             if lweight[li] <= REL_EPS {
-                heap.pop();
+                queue.pop();
                 done[li] = true;
                 continue;
             }
             let saturated = avail[li] - level * lweight[li] <= ccaps[li] * REL_EPS;
             if !saturated {
                 if stale {
-                    heap.pop();
-                    heap.push(std::cmp::Reverse(LinkEvent {
+                    queue.pop();
+                    queue.push(LinkEvent {
                         level: avail[li] / lweight[li],
                         link: li as u32,
                         stamp: stamps[li],
-                    }));
+                    });
                     continue;
                 }
                 break; // fresh minimum above the level: batch complete
             }
-            heap.pop();
+            queue.pop();
             done[li] = true;
             // Freeze every active flow crossing the saturated link.
             let gl = links[li] as usize;
-            for k in sh.idx.off[gl]..sh.idx.off[gl + 1] {
-                let ci = sh.comps.flow_local[sh.idx.link_flows[k as usize] as usize] as usize;
+            let idx = &sh.comps.idx;
+            for k in idx.off[gl]..idx.off[gl + 1] {
+                let ci = sh.comps.flow_local[idx.link_flows[k as usize] as usize] as usize;
                 if active[ci] {
                     n_active -= 1;
                     frozen_saturation += 1;
@@ -504,37 +563,21 @@ fn publish_v3_metrics(
     m.counter("fabric.maxmin.freeze_events").add(freezes as u64);
 }
 
-/// Cold solve of every component of `paths`, publishing its telemetry.
-fn solve_cold(
-    topo: &Topology,
-    caps: &[f64],
-    paths: &[&[LinkId]],
-    demands: &[f64],
-    weights: &[f64],
-) -> Allocation {
-    let idx = build_index(caps.len(), paths);
-    let comps = find_components(paths, &idx);
-    let ncomp = comps.members.len();
-    let mut rates = vec![0.0f64; paths.len()];
-    let sh = Shared {
-        caps,
-        paths,
-        demands,
-        weights,
-        idx: &idx,
-        comps: &comps,
-    };
+/// Cold solve of every component in `sh`, publishing its telemetry.
+fn solve_cold(topo: &Topology, sh: &Shared) -> Allocation {
+    let ncomp = sh.comps.members.len();
+    let mut rates = vec![0.0f64; sh.paths.len()];
     let ids: Vec<usize> = (0..ncomp).collect();
-    let (freezes, fd, fs) = solve_components(&sh, &ids, &mut rates);
+    let (freezes, fd, fs) = solve_components(sh, &ids, &mut rates);
     if let Some(m) = metrics::active() {
         publish_v3_metrics(
             &m,
             topo,
-            paths,
+            sh.paths,
             &rates,
-            caps,
-            &idx.deg,
-            paths.len(),
+            sh.caps,
+            &sh.comps.idx.deg,
+            sh.paths.len(),
             freezes,
             ncomp,
             fd,
@@ -558,7 +601,15 @@ pub(crate) fn solve_event_driven(topo: &Topology, flows: &[Flow], weights: &[f64
         .collect();
     let paths: Vec<&[LinkId]> = flows.iter().map(|f| f.path.as_slice()).collect();
     let demands: Vec<f64> = flows.iter().map(|f| f.demand.as_bytes_per_sec()).collect();
-    solve_cold(topo, &caps, &paths, &demands, weights)
+    let comps = find_components(caps.len(), &paths);
+    let sh = Shared {
+        caps: &caps,
+        paths: &paths,
+        demands: &demands,
+        weights,
+        comps: &comps,
+    };
+    solve_cold(topo, &sh)
 }
 
 /// A change set for [`Solver::resolve_with`]. Every link named here —
@@ -620,8 +671,8 @@ impl ResolveDelta {
 }
 
 /// A max-min solve that owns its flow set and caches frozen state so
-/// subsequent deltas — link failures, re-routes, withdrawn flows — re-solve
-/// only the interference components they touch.
+/// subsequent deltas — link failures, capacity changes, re-routes,
+/// withdrawn flows — re-solve only the interference components they touch.
 pub struct Solver<'a> {
     topo: &'a Topology,
     flows: Vec<Flow>,
@@ -631,7 +682,9 @@ pub struct Solver<'a> {
     caps: Vec<f64>,
     excluded: Vec<bool>,
     rates: Vec<f64>,
-    solved: bool,
+    /// The decomposition of the last solve's paths; `None` until the
+    /// first solve.
+    comps: Option<Components>,
 }
 
 impl<'a> Solver<'a> {
@@ -666,7 +719,7 @@ impl<'a> Solver<'a> {
             caps,
             excluded: vec![false; nf],
             rates: vec![0.0; nf],
-            solved: false,
+            comps: None,
         }
     }
 
@@ -692,17 +745,21 @@ impl<'a> Solver<'a> {
             .collect()
     }
 
-    /// Cold solve of the current workload, (re)priming the rate cache.
+    /// Cold solve of the current workload, (re)priming the rate cache and
+    /// the decomposition.
     pub fn solve(&mut self) -> Allocation {
-        let a = solve_cold(
-            self.topo,
-            &self.caps,
-            &self.paths_view(),
-            &self.demands(),
-            &self.weights,
-        );
+        let paths = self.paths_view();
+        let comps = find_components(self.caps.len(), &paths);
+        let sh = Shared {
+            caps: &self.caps,
+            paths: &paths,
+            demands: &self.demands(),
+            weights: &self.weights,
+            comps: &comps,
+        };
+        let a = solve_cold(self.topo, &sh);
         self.rates = a.rates.clone();
-        self.solved = true;
+        self.comps = Some(comps);
         a
     }
 
@@ -713,7 +770,9 @@ impl<'a> Solver<'a> {
     /// dirty link has exactly the membership, paths, and link capacities
     /// it had in the previous solve — any flow that joined or left it, or
     /// any capacity change, would have marked one of its links dirty — so
-    /// its cached rates are still the max-min fixed point.
+    /// its cached rates are still the max-min fixed point. The decomposition
+    /// is rebuilt only when the delta re-routes or withdraws a flow; capacity
+    /// changes and link removals move no path.
     pub fn resolve_with(&mut self, delta: &ResolveDelta) -> Allocation {
         let nl = self.caps.len();
         let mut dirty = vec![false; nl];
@@ -747,14 +806,17 @@ impl<'a> Solver<'a> {
             }
             self.flows[*fi].path = new_path.clone();
         }
-        if !self.solved {
+        let Some(comps) = self.comps.take() else {
             return self.solve();
-        }
+        };
 
         let paths = self.paths_view();
         let demands = self.demands();
-        let idx = build_index(nl, &paths);
-        let comps = find_components(&paths, &idx);
+        let comps = if delta.changed_flows.is_empty() && delta.removed_flows.is_empty() {
+            comps
+        } else {
+            find_components(nl, &paths)
+        };
 
         let mut rates = vec![0.0f64; self.flows.len()];
         let mut reused = 0usize;
@@ -775,7 +837,6 @@ impl<'a> Solver<'a> {
             paths: &paths,
             demands: &demands,
             weights: &self.weights,
-            idx: &idx,
             comps: &comps,
         };
         let (freezes, fd, fs) = solve_components(&sh, &to_solve, &mut rates);
@@ -786,7 +847,7 @@ impl<'a> Solver<'a> {
                 &paths,
                 &rates,
                 &self.caps,
-                &idx.deg,
+                &comps.idx.deg,
                 resolved_flows,
                 freezes,
                 to_solve.len(),
@@ -802,10 +863,12 @@ impl<'a> Solver<'a> {
                 .add((self.flows.len() - resolved_flows) as u64);
         }
         self.rates = rates;
+        let ncomp = comps.members.len();
+        self.comps = Some(comps);
         Allocation {
             rates: self.rates.clone(),
             rounds: freezes,
-            components: comps.members.len(),
+            components: ncomp,
         }
     }
 }
@@ -853,8 +916,7 @@ mod tests {
     /// Every component's link list and the two global→local maps agree
     /// with the member paths they were derived from.
     fn assert_decomposition(paths: &[&[LinkId]], nl: usize) {
-        let idx = build_index(nl, paths);
-        let comps = find_components(paths, &idx);
+        let comps = find_components(nl, paths);
         assert_eq!(comps.members.len(), comps.links.len());
         let mut seen = vec![0u32; paths.len()];
         let mut listed = vec![false; nl];
@@ -888,7 +950,7 @@ mod tests {
         // Links no live flow crosses (only withdrawn ones, or none) belong
         // to no component.
         for (l, &listed) in listed.iter().enumerate() {
-            assert_eq!(listed, idx.deg[l] > 0, "link {l}");
+            assert_eq!(listed, comps.idx.deg[l] > 0, "link {l}");
             assert_eq!(comps.link_local[l] == u32::MAX, !listed, "link {l}");
         }
     }
@@ -946,6 +1008,147 @@ mod tests {
             assert_eq!(bits(&solver.solve()), bits(&direct));
             let warm = solver.resolve_with(&ResolveDelta::default());
             assert_eq!(bits(&warm), bits(&direct));
+        });
+    }
+
+    #[test]
+    fn event_queue_pops_in_binary_heap_order() {
+        let key = |ev: LinkEvent| (ev.level.to_bits(), ev.link, ev.stamp);
+        check::cases(64, |g| {
+            // Few distinct levels, so ties fall through to link and stamp.
+            let level = |g: &mut check::Gen| g.range(0..6u32) as f64 * 0.25;
+            let nl = g.range(0..40u32);
+            let mut initial = Vec::new();
+            for link in 0..nl {
+                if g.range(0..4u32) != 0 {
+                    initial.push(LinkEvent {
+                        level: level(g),
+                        link,
+                        stamp: 0,
+                    });
+                }
+            }
+            let mut queue = EventQueue::new(initial.clone());
+            let mut heap: BinaryHeap<Reverse<LinkEvent>> =
+                initial.into_iter().map(Reverse).collect();
+            let mut stamps = vec![0u32; nl as usize];
+            loop {
+                assert_eq!(queue.peek().map(key), heap.peek().map(|r| key(r.0)));
+                let (got, want) = (queue.pop(), heap.pop().map(|r| r.0));
+                assert_eq!(got.map(key), want.map(key));
+                let Some(ev) = got else { break };
+                // Re-key about half the popped links, as the solver does
+                // with a stale entry, at a level that may tie others.
+                if g.bool() {
+                    let li = ev.link as usize;
+                    stamps[li] += 1;
+                    let rekeyed = LinkEvent {
+                        level: level(g),
+                        link: ev.link,
+                        stamp: stamps[li],
+                    };
+                    queue.push(rekeyed);
+                    heap.push(Reverse(rekeyed));
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn warm_delta_chain_matches_fresh_cold_solves_bitwise() {
+        check::cases(24, |g| {
+            let df = Dragonfly::build(DragonflyParams::scaled(
+                g.range(2..5),
+                g.range(1..4),
+                g.range(1..4),
+            ));
+            let topo = df.topology();
+            let n = df.params().total_endpoints();
+            check::assume(n >= 2);
+            let router = Router::new(&df, RoutePolicy::adaptive_default());
+            let mut rng = StreamRng::from_seed(g.range(0..u64::MAX));
+            let flows: Vec<Flow> = g.vec(1..60, |g| {
+                let s = g.range(0..n);
+                let d = (s + g.range(1..n)) % n;
+                let (s, d) = (EndpointId(s as u32), EndpointId(d as u32));
+                let mut f = Flow::saturating(s, d, router.route(s, d, &mut rng), g.range(0..4));
+                if g.bool() {
+                    f.demand = Bandwidth::gb_s(g.range(0.5..30.0));
+                }
+                f
+            });
+            let nf = flows.len();
+            let nl = topo.num_links();
+            let mut caps: Vec<Bandwidth> = topo.links().iter().map(|l| l.capacity).collect();
+            let mut withdrawn = vec![false; nf];
+            let mut solver = Solver::new(topo, flows);
+            solver.solve();
+            let bits = |a: &Allocation| a.rates.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
+            for _ in 0..8 {
+                // Each kind of change joins the step's delta with
+                // probability 1/3, so steps range from no-ops to mixes.
+                let mut delta = ResolveDelta::default();
+                if g.range(0..3u32) == 0 {
+                    for _ in 0..g.range(1..4u32) {
+                        let l = LinkId(g.range(0..nl));
+                        let cap = if g.bool() {
+                            caps[l.0 as usize] // a no-op re-statement
+                        } else {
+                            Bandwidth::gb_s(g.range(1.0..50.0))
+                        };
+                        delta.changed_capacities.push((l, cap));
+                    }
+                }
+                if g.range(0..3u32) == 0 {
+                    delta.removed_links.push(LinkId(g.range(0..nl)));
+                }
+                let live: Vec<usize> = (0..nf).filter(|&fi| !withdrawn[fi]).collect();
+                if !live.is_empty() && g.range(0..3u32) == 0 {
+                    let fi = live[g.range(0..live.len())];
+                    let f = &solver.flows()[fi];
+                    delta
+                        .changed_flows
+                        .push((fi, router.route(f.src, f.dst, &mut rng)));
+                }
+                if !live.is_empty() && g.range(0..3u32) == 0 {
+                    // One delta re-routes or withdraws a flow, not both.
+                    let fi = live[g.range(0..live.len())];
+                    if delta.changed_flows.iter().all(|c| c.0 != fi) {
+                        delta.removed_flows.push(fi);
+                    }
+                }
+                // Removal wins over a re-provision of the same link.
+                for &(l, cap) in &delta.changed_capacities {
+                    caps[l.0 as usize] = cap;
+                }
+                for &l in &delta.removed_links {
+                    caps[l.0 as usize] = Bandwidth::bytes_per_sec(0.0);
+                }
+                for &fi in &delta.removed_flows {
+                    withdrawn[fi] = true;
+                }
+                let warm = solver.resolve_with(&delta);
+
+                let mut t2 = topo.clone();
+                for (l, &cap) in caps.iter().enumerate() {
+                    t2.set_capacity(LinkId(l as u32), cap);
+                }
+                let current: Vec<Flow> = solver
+                    .flows()
+                    .iter()
+                    .zip(&withdrawn)
+                    .map(|(f, &w)| {
+                        let mut f = f.clone();
+                        if w {
+                            f.path.clear();
+                        }
+                        f
+                    })
+                    .collect();
+                let cold = Solver::new(&t2, current).solve();
+                assert_eq!(bits(&warm), bits(&cold), "after {delta:?}");
+                assert_eq!(warm.components, cold.components);
+            }
         });
     }
 

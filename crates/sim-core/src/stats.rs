@@ -91,22 +91,28 @@ impl OnlineStats {
     }
 }
 
-/// Exact percentile of a sample set, by sorting. `q` in `[0, 100]`.
+/// Exact percentile of a sample set. `q` in `[0, 100]`.
 ///
-/// Uses the nearest-rank method on a copy of the data; suitable for the
-/// sample sizes in this workspace (≤ a few million).
+/// Uses the nearest-rank method on a copy of the data, selected in O(n)
+/// rather than sorted.
 pub fn percentile(samples: &[f64], q: f64) -> f64 {
     assert!(!samples.is_empty(), "percentile of empty sample set");
     assert!((0.0..=100.0).contains(&q), "percentile {q} out of range");
-    let mut v: Vec<f64> = samples.to_vec();
-    // total_cmp is a total order: a stray NaN (caller bug) sorts to the
-    // high end deterministically instead of aborting mid-sort.
-    v.sort_by(|a, b| a.total_cmp(b));
-    if q <= 0.0 {
-        return v[0];
-    }
-    let rank = ((q / 100.0) * v.len() as f64).ceil() as usize;
-    v[rank.saturating_sub(1).min(v.len() - 1)]
+    nearest_rank(&mut samples.to_vec(), q)
+}
+
+/// The nearest-rank `q`-th percentile of `v`, which it reorders. Under
+/// `total_cmp` equal elements are bit-equal, so the value is exactly the
+/// one a full sort would put at that rank; a stray NaN (caller bug) ranks
+/// at the high end deterministically.
+fn nearest_rank(v: &mut [f64], q: f64) -> f64 {
+    let k = if q <= 0.0 {
+        0
+    } else {
+        let rank = ((q / 100.0) * v.len() as f64).ceil() as usize;
+        rank.saturating_sub(1).min(v.len() - 1)
+    };
+    *v.select_nth_unstable_by(k, |a, b| a.total_cmp(b)).1
 }
 
 /// A complete five-number-plus summary of a sample set.
@@ -129,13 +135,14 @@ impl Summary {
         for &x in samples {
             stats.push(x);
         }
+        let mut v = samples.to_vec();
         Summary {
             count: samples.len(),
             mean: stats.mean(),
             std_dev: stats.std_dev(),
             min: stats.min(),
-            p50: percentile(samples, 50.0),
-            p99: percentile(samples, 99.0),
+            p50: nearest_rank(&mut v, 50.0),
+            p99: nearest_rank(&mut v, 99.0),
             max: stats.max(),
         }
     }
@@ -172,6 +179,7 @@ pub fn harmonic_mean(values: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check;
 
     #[test]
     fn online_stats_basics() {
@@ -251,6 +259,42 @@ mod tests {
     #[should_panic(expected = "empty")]
     fn percentile_empty_panics() {
         percentile(&[], 50.0);
+    }
+
+    /// The sort-based nearest rank the selection must reproduce.
+    fn sorted_rank(samples: &[f64], q: f64) -> f64 {
+        let mut v = samples.to_vec();
+        v.sort_by(|a, b| a.total_cmp(b));
+        if q <= 0.0 {
+            return v[0];
+        }
+        let rank = ((q / 100.0) * v.len() as f64).ceil() as usize;
+        v[rank.saturating_sub(1).min(v.len() - 1)]
+    }
+
+    #[test]
+    fn selected_percentiles_match_a_full_sort_bitwise() {
+        check::cases(64, |g| {
+            // Few distinct values, so duplicates are common; ±0.0 and a NaN
+            // exercise the total order.
+            let mut v: Vec<f64> = g.vec(1..200, |g| match g.range(0..8u32) {
+                0 => 0.0,
+                1 => -0.0,
+                _ => g.range(0..9u32) as f64 * 0.5 - 2.0,
+            });
+            // Summary takes finite observations only.
+            let s = Summary::of(&v);
+            assert_eq!(s.p50.to_bits(), sorted_rank(&v, 50.0).to_bits());
+            assert_eq!(s.p99.to_bits(), sorted_rank(&v, 99.0).to_bits());
+            if g.bool() {
+                let at = g.range(0..v.len());
+                v[at] = f64::NAN;
+            }
+            for q in [0.0, 1.0, 50.0, 99.0, 100.0] {
+                let want = sorted_rank(&v, q).to_bits();
+                assert_eq!(percentile(&v, q).to_bits(), want, "q = {q}");
+            }
+        });
     }
 
     #[test]
