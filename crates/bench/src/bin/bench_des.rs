@@ -6,7 +6,7 @@
 //! endpoints) — plus the full-scale GPCNeT victim multiple-allreduce, and
 //! times the calendar-queue scheduler against the binary-heap reference.
 //!
-//! Three gates, mirroring `solver_regression`:
+//! Three gates:
 //!
 //! 1. **Parity**: calendar, heap, and the domain-parallel engine
 //!    (`fabric::pdes`) must produce bit-identical deliveries at every

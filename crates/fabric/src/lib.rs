@@ -52,8 +52,7 @@ pub mod prelude {
     pub use crate::dragonfly::{Dragonfly, DragonflyParams};
     pub use crate::fattree::{FatTree, FatTreeParams};
     pub use crate::maxmin::{
-        solve_maxmin, solve_maxmin_incremental, solve_maxmin_per_vni, solve_maxmin_weighted,
-        Allocation, VniWeights,
+        solve_maxmin, solve_maxmin_per_vni, solve_maxmin_weighted, Allocation, VniWeights,
     };
     pub use crate::routing::{RoutePolicy, Router};
     pub use crate::solver::{ResolveDelta, Solver};

@@ -16,40 +16,25 @@
 //!
 //! # Algorithm
 //!
-//! The public entry points now delegate to the event-driven engine in
-//! [`crate::solver`]: a once-sorted queue of per-link saturation events
-//! jumps the water level freeze to freeze (lazily re-keying only touched
-//! links),
-//! and a union-find decomposition solves independent interference
-//! components concurrently. Two older generations stay in this module as
-//! oracles and baselines:
+//! Every public entry point delegates to the event-driven engine in
+//! [`crate::solver`] (v3): a once-sorted queue of per-link saturation
+//! events jumps the water level freeze to freeze (lazily re-keying only
+//! touched links), and a union-find decomposition solves independent
+//! interference components concurrently. One older generation stays in
+//! this module as the oracle:
 //!
-//! * [`solve_maxmin_incremental`] — the round-based *incremental* solver
-//!   (v2). It tracks one scalar, the fair-share *water level*; the rate
-//!   of every still-active flow is `weight × level` by construction, so
-//!   each round reduces to a minimum over the *contended* links and the
-//!   *demand-limited* active flows (shrinking work lists, parallel
-//!   scans above [`PAR_THRESHOLD`] items). The CI solver-regression
-//!   gate benches v3 against it.
 //! * [`solve_maxmin_reference`] — the straightforward per-round rescan
-//!   (v1), the parity oracle: property tests pin all three generations
-//!   to 1e-9 relative agreement.
+//!   (v1). The parity property tests pin v3 to it at 1e-9 relative
+//!   agreement, cold and warm.
 
 use crate::topology::{Flow, LinkLevel, Topology};
+use frontier_sim_core::metrics;
 use frontier_sim_core::units::Bandwidth;
-use frontier_sim_core::{metrics, par};
 use std::collections::BTreeMap;
 
 /// Relative tolerance for saturation/demand checks (shared with the
-/// event-driven engine so all solver generations batch ties identically).
+/// event-driven engine so it and the oracle batch ties identically).
 pub(crate) const REL_EPS: f64 = 1e-9;
-
-/// Minimum per-round work (contended links + demand-limited active flows)
-/// before the solver's reductions move onto [`par`]. Below
-/// this, serial scans win: the fork/join overhead of a parallel reduction
-/// is on the order of microseconds, which dwarfs a few thousand
-/// divide-and-compare operations.
-pub const PAR_THRESHOLD: usize = 4096;
 
 /// Result of a max-min solve.
 #[derive(Debug, Clone)]
@@ -64,7 +49,7 @@ pub struct Allocation {
     pub rounds: usize,
     /// Interference components the solve decomposed into (flows sharing
     /// no link, directly or transitively, land in different components).
-    /// The round-based solvers do not decompose and report 1.
+    /// The reference solver does not decompose and reports 1.
     pub components: usize,
 }
 
@@ -148,18 +133,6 @@ where
     crate::solver::solve_event_driven(topo, flows, &weights)
 }
 
-/// The round-based incremental solver (v2), kept as the baseline the
-/// event-driven engine is benched and regression-gated against
-/// (`bench_maxmin`, the CI `solver_regression` step) and as a second
-/// oracle in the parity property tests.
-pub fn solve_maxmin_incremental<W>(topo: &Topology, flows: &[Flow], weight: W) -> Allocation
-where
-    W: Fn(&Flow) -> f64,
-{
-    let weights = collect_weights(flows, weight);
-    solve_incremental(topo, flows, &weights)
-}
-
 fn collect_weights<W>(flows: &[Flow], weight: W) -> Vec<f64>
 where
     W: Fn(&Flow) -> f64,
@@ -172,193 +145,6 @@ where
             w
         })
         .collect()
-}
-
-/// Minimum of `f` over a work list, parallel above the caller's threshold
-/// decision.
-fn min_over<F>(items: &[u32], parallel: bool, f: F) -> f64
-where
-    F: Fn(u32) -> f64 + Sync + Send,
-{
-    if parallel {
-        par::map(items, |&i| f(i))
-            .into_iter()
-            .fold(f64::INFINITY, f64::min)
-    } else {
-        items.iter().map(|&i| f(i)).fold(f64::INFINITY, f64::min)
-    }
-}
-
-/// The work-list items satisfying `f`, parallel above the caller's
-/// threshold decision.
-fn filter_collect<F>(items: &[u32], parallel: bool, f: F) -> Vec<u32>
-where
-    F: Fn(u32) -> bool + Sync + Send,
-{
-    if parallel {
-        par::map(items, |&i| f(i).then_some(i))
-            .into_iter()
-            .flatten()
-            .collect()
-    } else {
-        items.iter().filter(|&&i| f(i)).copied().collect()
-    }
-}
-
-/// The incremental water-level solver behind every public entry point.
-fn solve_incremental(topo: &Topology, flows: &[Flow], weights: &[f64]) -> Allocation {
-    let nl = topo.num_links() as usize;
-    let nf = flows.len();
-
-    // One-time CSR index of the flows crossing each link, so a saturating
-    // link freezes exactly the flows it carries instead of triggering a
-    // scan of every flow in the solve.
-    let mut deg = vec![0u32; nl];
-    for f in flows {
-        for l in &f.path {
-            deg[l.0 as usize] += 1;
-        }
-    }
-    let mut off = vec![0u32; nl + 1];
-    for l in 0..nl {
-        off[l + 1] = off[l] + deg[l];
-    }
-    let mut cursor: Vec<u32> = off[..nl].to_vec();
-    let mut link_flows = vec![0u32; off[nl] as usize];
-    for (fi, f) in flows.iter().enumerate() {
-        for l in &f.path {
-            let li = l.0 as usize;
-            link_flows[cursor[li] as usize] = fi as u32;
-            cursor[li] += 1;
-        }
-    }
-
-    let caps: Vec<f64> = topo
-        .links()
-        .iter()
-        .map(|l| l.capacity.as_bytes_per_sec())
-        .collect();
-    // Capacity not yet pinned down by frozen flows.
-    let mut avail = caps.clone();
-    // Sum of active-flow weights per link.
-    let mut link_weight = vec![0.0f64; nl];
-    for (f, &w) in flows.iter().zip(weights) {
-        for l in &f.path {
-            link_weight[l.0 as usize] += w;
-        }
-    }
-
-    // Water level at which each flow hits its demand (infinite for
-    // saturating flows, which only ever freeze via link saturation).
-    let d_over_w: Vec<f64> = flows
-        .iter()
-        .zip(weights)
-        .map(|(f, &w)| f.demand.as_bytes_per_sec() / w)
-        .collect();
-
-    let mut rates = vec![0.0f64; nf];
-    let mut active: Vec<bool> = flows.iter().map(|f| !f.path.is_empty()).collect();
-    let mut n_active = active.iter().filter(|&&a| a).count();
-
-    // Shrinking work lists, pruned lazily at the top of each round.
-    let mut contended: Vec<u32> = (0..nl as u32)
-        .filter(|&l| link_weight[l as usize] > REL_EPS)
-        .collect();
-    let mut limited: Vec<u32> = (0..nf as u32)
-        .filter(|&f| active[f as usize] && d_over_w[f as usize].is_finite())
-        .collect();
-
-    // The water level: every still-active flow's rate is weight × level.
-    let mut level = 0.0f64;
-    let mut rounds = 0usize;
-    // Freeze-cause tallies for telemetry (cheap to keep even when off).
-    let mut frozen_demand = 0u64;
-    let mut frozen_saturation = 0u64;
-
-    while n_active > 0 {
-        rounds += 1;
-        assert!(
-            rounds <= nl + nf + 1,
-            "progressive filling failed to converge"
-        );
-
-        contended.retain(|&l| link_weight[l as usize] > REL_EPS);
-        limited.retain(|&f| active[f as usize]);
-        let parallel = contended.len() + limited.len() >= PAR_THRESHOLD;
-
-        // The next binding constraint: the lowest level at which a link
-        // saturates or a demand is met.
-        let link_level = min_over(&contended, parallel, |l| {
-            avail[l as usize] / link_weight[l as usize]
-        });
-        let flow_level = min_over(&limited, parallel, |f| d_over_w[f as usize]);
-        let next = link_level.min(flow_level);
-        assert!(
-            next.is_finite(),
-            "no binding constraint: flows without links must have finite demand"
-        );
-        level = next.max(level);
-
-        // This round's events, collected from one consistent snapshot.
-        // Freezing a flow at rate weight × level leaves every link's
-        // `avail - level × link_weight` unchanged, so the order the two
-        // event sets are applied in cannot disturb either decision.
-        let at_demand = filter_collect(&limited, parallel, |f| {
-            d_over_w[f as usize] <= level * (1.0 + REL_EPS)
-        });
-        let saturated = filter_collect(&contended, parallel, |l| {
-            let li = l as usize;
-            avail[li] - level * link_weight[li] <= caps[li] * REL_EPS
-        });
-
-        let mut freeze = |fi: usize, by_saturation: bool| {
-            if !active[fi] {
-                return;
-            }
-            active[fi] = false;
-            n_active -= 1;
-            if by_saturation {
-                frozen_saturation += 1;
-            } else {
-                frozen_demand += 1;
-            }
-            let r = weights[fi] * level;
-            rates[fi] = r;
-            for l in &flows[fi].path {
-                let li = l.0 as usize;
-                link_weight[li] -= weights[fi];
-                avail[li] -= r;
-            }
-        };
-        for &f in &at_demand {
-            freeze(f as usize, false);
-        }
-        for &l in &saturated {
-            for idx in off[l as usize]..off[l as usize + 1] {
-                freeze(link_flows[idx as usize] as usize, true);
-            }
-        }
-    }
-
-    if let Some(m) = metrics::active() {
-        publish_solve_metrics(
-            &m,
-            topo,
-            rounds,
-            nf,
-            frozen_demand,
-            frozen_saturation,
-            &deg,
-            &caps,
-            &avail,
-        );
-    }
-
-    Allocation {
-        rates,
-        rounds,
-        components: 1,
-    }
 }
 
 /// Stable per-link telemetry label: topology size disambiguates links of
@@ -424,25 +210,18 @@ pub(crate) fn publish_solve_metrics(
     }
 }
 
-/// The straightforward progressive-filling loop the incremental solver
-/// replaced: every round rescans all links and all flows, giving
-/// O(rounds × (links + flows × |path|)). Kept as the oracle for the
-/// `optimized_matches_reference` property test and as the baseline the
-/// `bench_maxmin` speedup is measured against.
+/// The straightforward progressive-filling loop (v1): every round
+/// rescans all links and all flows, giving
+/// O(rounds × (links + flows × |path|)). Kept as the oracle the event-driven
+/// engine is pinned to by the `optimized_matches_reference` property test
+/// and the `maxmin`/`solver` unit tests.
 pub fn solve_maxmin_reference<W>(topo: &Topology, flows: &[Flow], weight: W) -> Allocation
 where
     W: Fn(&Flow) -> f64,
 {
     let nl = topo.num_links() as usize;
     let nf = flows.len();
-    let weights: Vec<f64> = flows
-        .iter()
-        .map(|f| {
-            let w = weight(f);
-            assert!(w > 0.0 && w.is_finite(), "flow weight must be positive");
-            w
-        })
-        .collect();
+    let weights = collect_weights(flows, weight);
 
     let mut residual: Vec<f64> = topo
         .links()
@@ -721,7 +500,7 @@ mod tests {
     /// reference implementation (also covered at larger scale by the
     /// `optimized_matches_reference` property test).
     #[test]
-    fn incremental_matches_reference_on_random_flow_sets() {
+    fn v3_matches_reference_on_random_flow_sets() {
         for seed in 0..40u64 {
             let df = Dragonfly::build(DragonflyParams::scaled(
                 2 + (seed % 5) as usize,
@@ -756,23 +535,20 @@ mod tests {
             }
             let weight = |f: &Flow| 0.5 + f.vni as f64;
             let v3 = solve_maxmin_weighted(topo, &flows, weight);
-            let incremental = solve_maxmin_incremental(topo, &flows, weight);
             let reference = solve_maxmin_reference(topo, &flows, weight);
             for i in 0..flows.len() {
-                for (gen, opt) in [("v3", &v3), ("incremental", &incremental)] {
-                    let (a, b) = (opt.rates[i], reference.rates[i]);
-                    let scale = 1.0f64.max(a.abs()).max(b.abs());
-                    assert!(
-                        (a - b).abs() <= 1e-9 * scale,
-                        "seed {seed} flow {i} ({gen}): {a} vs {b}"
-                    );
-                }
+                let (a, b) = (v3.rates[i], reference.rates[i]);
+                let scale = 1.0f64.max(a.abs()).max(b.abs());
+                assert!(
+                    (a - b).abs() <= 1e-9 * scale,
+                    "seed {seed} flow {i}: {a} vs {b}"
+                );
             }
         }
     }
 
-    /// The incremental algorithm keeps the progressive-filling convergence
-    /// bound: at least one flow freezes per round.
+    /// The event-driven engine keeps the progressive-filling convergence
+    /// bound: at least one flow freezes per event batch.
     #[test]
     fn rounds_bound_regression() {
         for seed in 0..20u64 {
@@ -808,16 +584,15 @@ mod tests {
         }
     }
 
-    /// Above `PAR_THRESHOLD` work items the parallel scans engage; the
-    /// allocation must not depend on which path ran.
+    /// A single interference component of 4,096 flows on one link, half
+    /// demand-limited at 13 distinct levels: many tied freeze events in
+    /// one component, which v3 solves serially.
     #[test]
-    fn parallel_reduction_matches_serial_above_threshold() {
+    fn large_single_component_matches_reference() {
         let mut t = Topology::new();
         t.add_switches(2);
         let shared = t.add_link(Bandwidth::gb_s(100.0), LinkLevel::Local);
-        // Enough flows that contended links comfortably exceed the
-        // threshold in round one.
-        let nf = PAR_THRESHOLD;
+        let nf = 4096;
         let mut flows = Vec::with_capacity(nf);
         for i in 0..nf {
             let s = t.add_endpoint(SwitchId(0), Bandwidth::gb_s(50.0));
@@ -830,17 +605,12 @@ mod tests {
             flows.push(f);
         }
         let v3 = solve_maxmin(&t, &flows);
-        let incremental = solve_maxmin_incremental(&t, &flows, |_| 1.0);
+        assert_eq!(v3.components, 1);
         let reference = solve_maxmin_reference(&t, &flows, |_| 1.0);
         for i in 0..flows.len() {
-            for (gen, opt) in [("v3", &v3), ("incremental", &incremental)] {
-                let (a, b) = (opt.rates[i], reference.rates[i]);
-                let scale = 1.0f64.max(a.abs()).max(b.abs());
-                assert!(
-                    (a - b).abs() <= 1e-9 * scale,
-                    "flow {i} ({gen}): {a} vs {b}"
-                );
-            }
+            let (a, b) = (v3.rates[i], reference.rates[i]);
+            let scale = 1.0f64.max(a.abs()).max(b.abs());
+            assert!((a - b).abs() <= 1e-9 * scale, "flow {i}: {a} vs {b}");
         }
     }
 }

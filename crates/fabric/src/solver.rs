@@ -1,10 +1,10 @@
 //! Event-driven max-min solver (v3): bottleneck events, interference
 //! components, and warm-start re-solves.
 //!
-//! The incremental solver ([`crate::maxmin`]) still walks the water level
-//! round by round, and every round scans the whole contended-link work
-//! list: O(rounds × links) for the Fig. 6 mega-solve (979 rounds over
-//! 32 k links). This module replaces the scan with *bottleneck events*:
+//! A round-based solver walks the water level round by round, and every
+//! round scans the whole contended-link list: O(rounds × links) for the
+//! Fig. 6 mega-solve (979 rounds over 32 k links). This module replaces
+//! the scan with *bottleneck events*:
 //!
 //! * Every link has a known water level at which it saturates,
 //!   `avail / link_weight`; every demand-limited flow has a static level
@@ -63,9 +63,11 @@ use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 /// Minimum total flow count before a multi-component solve fans the
-/// per-component solves out through [`par`] (same rationale as
-/// [`crate::maxmin::PAR_THRESHOLD`]: below this, fork/join overhead wins).
-pub const COMPONENT_PAR_THRESHOLD: usize = crate::maxmin::PAR_THRESHOLD;
+/// per-component solves out through [`par`]. Below this, serial solves
+/// win: the fork/join overhead of a parallel map is on the order of
+/// microseconds, which dwarfs a few thousand divide-and-compare
+/// operations.
+pub const COMPONENT_PAR_THRESHOLD: usize = 4096;
 
 /// One-time CSR index of the flows crossing each link.
 pub(crate) struct FlowIndex {
@@ -413,7 +415,7 @@ fn solve_component(sh: &Shared, c: usize) -> CompResult {
         // Freeze every event within REL_EPS of this level in one batch
         // (mirroring the round solvers' tie handling, which is what keeps
         // the 1e-9 parity with the reference). Demand events first, then
-        // link saturations — the same order as the incremental solver.
+        // link saturations.
         // Freezing preserves `avail − level × link_weight` on every other
         // link, so the saturation set at this level is stable under the
         // freeze order.

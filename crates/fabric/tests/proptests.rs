@@ -2,9 +2,7 @@
 //! fairness invariants.
 
 use frontier_fabric::dragonfly::{Dragonfly, DragonflyParams};
-use frontier_fabric::maxmin::{
-    solve_maxmin, solve_maxmin_incremental, solve_maxmin_reference, solve_maxmin_weighted,
-};
+use frontier_fabric::maxmin::{solve_maxmin, solve_maxmin_reference, solve_maxmin_weighted};
 use frontier_fabric::routing::{RoutePolicy, Router};
 use frontier_fabric::solver::{ResolveDelta, Solver};
 use frontier_fabric::topology::{EndpointId, Flow, LinkLevel};
@@ -123,13 +121,12 @@ fn maxmin_is_feasible_and_fair() {
     });
 }
 
-/// Both optimized solvers — the event-driven v3 engine behind
-/// [`solve_maxmin_weighted`] and the incremental round solver — are
-/// allocation-preserving: on random dragonfly shapes, random pair
-/// sets, random finite and infinite demands, and random weights they
-/// match the straightforward progressive-filling reference to 1e-9
-/// relative — and both keep the `rounds <= links + flows + 1`
-/// convergence bound.
+/// The event-driven v3 engine behind [`solve_maxmin_weighted`] is
+/// allocation-preserving: on random dragonfly shapes, random pair sets,
+/// random finite and infinite demands, random weights, and a few flows
+/// with empty paths (never raised) it matches the straightforward
+/// progressive-filling reference to 1e-9 relative — and it keeps the
+/// `rounds <= links + flows + 1` convergence bound.
 #[test]
 fn optimized_matches_reference() {
     check::cases(64, |g| {
@@ -162,41 +159,34 @@ fn optimized_matches_reference() {
                 // A mix of finite demands; the rest stay saturating.
                 f.demand = Bandwidth::gb_s(0.3 + 40.0 * rng.uniform());
             }
+            if i % 17 == 0 {
+                // Degenerate empty-path flows, demand-limited and
+                // saturating alike: neither solver raises them.
+                f.path.clear();
+            }
             flows.push(f);
         }
         let weight = |f: &Flow| wmul * (0.5 + f.vni as f64);
         let reference = solve_maxmin_reference(topo, &flows, weight);
-        let nl = topo.num_links() as usize;
-        for (name, alloc) in [
-            ("v3", solve_maxmin_weighted(topo, &flows, weight)),
-            (
-                "incremental",
-                solve_maxmin_incremental(topo, &flows, weight),
-            ),
-        ] {
-            assert_eq!(alloc.rates.len(), reference.rates.len());
-            for (i, (a, b)) in alloc.rates.iter().zip(&reference.rates).enumerate() {
-                let scale = 1.0f64.max(a.abs()).max(b.abs());
-                assert!(
-                    (a - b).abs() <= 1e-9 * scale,
-                    "flow {}: {} {} vs reference {}",
-                    i,
-                    name,
-                    a,
-                    b
-                );
-            }
-            // Regression: both engines freeze at least one flow per
-            // round/event batch, so the classic convergence bound holds.
+        let alloc = solve_maxmin_weighted(topo, &flows, weight);
+        assert_eq!(alloc.rates.len(), reference.rates.len());
+        for (i, (a, b)) in alloc.rates.iter().zip(&reference.rates).enumerate() {
+            let scale = 1.0f64.max(a.abs()).max(b.abs());
             assert!(
-                alloc.rounds <= nl + flows.len() + 1,
-                "{}: {} rounds for {} links + {} flows",
-                name,
-                alloc.rounds,
-                nl,
-                flows.len()
+                (a - b).abs() <= 1e-9 * scale,
+                "flow {i}: v3 {a} vs reference {b}"
             );
         }
+        // Regression: the engine freezes at least one flow per event
+        // batch, so the classic convergence bound holds.
+        let nl = topo.num_links() as usize;
+        assert!(
+            alloc.rounds <= nl + flows.len() + 1,
+            "{} rounds for {} links + {} flows",
+            alloc.rounds,
+            nl,
+            flows.len()
+        );
     });
 }
 

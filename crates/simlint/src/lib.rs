@@ -8,9 +8,10 @@
 //! at every scale, on every code path, including the ones a small run
 //! never exercises.
 //!
-//! # Two analysis tiers
+//! # The rules
 //!
-//! **Per-file token rules** see one lexed file at a time:
+//! Every rule is a per-file token rule that sees one lexed file at a
+//! time:
 //!
 //! * [`rules::WALLCLOCK`] — wall-clock reads only in `sim-core::metrics`;
 //! * [`rules::UNKEYED_RNG`] — all randomness keyed & seeded;
@@ -19,18 +20,14 @@
 //! * [`rules::PANIC_IN_LIB`] — panic budget in library crates, ratcheted
 //!   downward via `simlint.ratchet`;
 //! * [`rules::BARE_ALLOW`] — every suppression carries a justification;
+//! * [`rules::HASH_ITER_REACH`] — no hash-ordered iteration in production
+//!   code (any function may feed a render sink), and no hash container
+//!   at all in a render-path file;
 //! * [`rules::GLOBAL_METRICS`] — no `metrics::global()` in libraries;
 //! * [`rules::RAW_THREADS`] — threads are made only in
 //!   `sim-core::par`, which installs the caller's metrics scope on every
 //!   helper and has no reduction, so no scope can drop and no float
 //!   result can follow the schedule.
-//!
-//! **The graph rule** runs after every file is parsed ([`parse`]) into a
-//! workspace call graph ([`graph`]), so a violation in one crate can be
-//! traced to a sink in another: [`rules::HASH_ITER_REACH`] flags
-//! hash-ordered iteration *reachable from* a render/snapshot sink
-//! anywhere in the workspace, and any hash container at all in a
-//! render-path file.
 //!
 //! The analysis is a hand-rolled token-level pass (see [`lexer`]): a
 //! linter that must gate CI should not depend on the code it audits —
@@ -44,14 +41,9 @@
 //! 1. Add an id const and a [`rules::Rule`] entry (summary, invariant,
 //!    `explain` text for `--explain`, and whether pre-existing debt is
 //!    tolerated via the ratchet).
-//! 2. Implement the check. A per-file rule is a
-//!    `fn(&SourceFile, &mut Vec<Diagnostic>)` wired into
-//!    [`rules::check_file`]; it can use token text, [`source::FileKind`],
-//!    `in_test_region`, and `in_par_region`. A graph rule is wired into
-//!    [`rules::check_graph`] and additionally gets the [`parse::ParsedFile`]
-//!    (fn defs + call sites) and the workspace [`graph::Graph`] — seed a
-//!    node set, call `reachable_from`, and name the provenance node in
-//!    the message so the finding is actionable.
+//! 2. Implement the check as a `fn(&SourceFile, &mut Vec<Diagnostic>)`
+//!    wired into [`rules::check_file`]; it can use token text,
+//!    [`source::FileKind`], `in_test_region`, and `in_par_region`.
 //! 3. Keep it deterministic: `BTree*` collections only, iterate tokens
 //!    in index order — the self-check runs simlint on itself.
 //! 4. Add fixture tests in `tests/rules.rs` (positive, clean, and
@@ -64,16 +56,12 @@
 //!    nondeterministic artifact nobody notices.
 
 pub mod diag;
-pub mod graph;
 pub mod lexer;
-pub mod parse;
 pub mod ratchet;
 pub mod rules;
-pub mod sarif;
 pub mod source;
 
 use diag::Diagnostic;
-use parse::ParsedFile;
 use ratchet::{Ratchet, RatchetDelta};
 use source::SourceFile;
 use std::path::{Path, PathBuf};
@@ -93,9 +81,6 @@ pub struct Outcome {
     pub ratchet_delta: RatchetDelta,
     /// Current ratchetable debt (what `--update-ratchet` would write).
     pub current_debt: Ratchet,
-    /// Deterministic call-graph dump (`--graph-json`): nodes, edges,
-    /// render sinks, and sink reachability.
-    pub graph_json: String,
 }
 
 impl Outcome {
@@ -141,49 +126,27 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Result of analyzing a set of sources together: suppression-evaluated
-/// diagnostics plus the deterministic graph dump.
-pub struct Analysis {
-    pub diagnostics: Vec<Diagnostic>,
-    pub graph_json: String,
-}
-
-/// Lint a set of `(workspace-relative path, source)` files as one
-/// workspace: per-file rules on each, then the call graph and the graph
-/// rules across all of them. Inputs must be pre-sorted by path for
-/// deterministic node ids (callers that read from [`collect_sources`]
-/// already are).
-pub fn analyze_files(inputs: &[(String, String)]) -> Analysis {
-    let files: Vec<(SourceFile, ParsedFile)> = inputs
+/// Lint a set of `(workspace-relative path, source)` files: every rule on
+/// each file, then suppressions, then a sort by (file, line, rule).
+pub fn analyze_files(inputs: &[(String, String)]) -> Vec<Diagnostic> {
+    let files: Vec<SourceFile> = inputs
         .iter()
-        .map(|(rel, src)| {
-            let f = SourceFile::parse(rel, src);
-            let p = parse::parse(&f);
-            (f, p)
-        })
+        .map(|(rel, src)| SourceFile::parse(rel, src))
         .collect();
-    let g = graph::Graph::build(&files);
-
     let mut diags = Vec::new();
-    for (f, _) in &files {
+    for f in &files {
         rules::check_file(f, &mut diags);
     }
-    let ga = rules::check_graph(&files, &g, &mut diags);
     rules::apply_suppressions(&files, &mut diags);
     diag::sort(&mut diags);
-
-    Analysis {
-        diagnostics: diags,
-        graph_json: g.to_json(&ga.sinks, &ga.reach),
-    }
+    diags
 }
 
 /// Lint one source text under its workspace-relative path. This is the
 /// fixture-test entry point: the path determines the file's kind and
-/// which path-scoped rules apply, and the file forms a one-file
-/// workspace for the graph rules.
+/// which path-scoped rules apply.
 pub fn analyze_source(rel: &str, src: &str) -> Vec<Diagnostic> {
-    analyze_files(&[(rel.to_string(), src.to_string())]).diagnostics
+    analyze_files(&[(rel.to_string(), src.to_string())])
 }
 
 /// Lint the whole workspace at `root` against its `simlint.ratchet`
@@ -205,8 +168,7 @@ pub fn run_workspace(root: &Path) -> std::io::Result<Outcome> {
         let src = std::fs::read_to_string(&path)?;
         inputs.push((rel, src));
     }
-    let analysis = analyze_files(&inputs);
-    let mut diags = analysis.diagnostics;
+    let mut diags = analyze_files(&inputs);
 
     let ratchet_delta = ratchet.apply(&mut diags);
     let current_debt = Ratchet::current(&diags);
@@ -214,7 +176,6 @@ pub fn run_workspace(root: &Path) -> std::io::Result<Outcome> {
         diagnostics: diags,
         ratchet_delta,
         current_debt,
-        graph_json: analysis.graph_json,
     })
 }
 

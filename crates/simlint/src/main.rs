@@ -6,21 +6,18 @@
 // A linter CLI reports to stdout/stderr by design.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
-use simlint::{diag, ratchet, rules, sarif};
+use simlint::{diag, ratchet, rules};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: simlint [--root DIR] [--json FILE] [--sarif FILE] [--graph-json FILE]\n\
-         \x20              [--update-ratchet] [--list-rules] [--explain RULE]\n\
-         \x20              [--github-annotations]\n\n\
+        "usage: simlint [--root DIR] [--json FILE] [--update-ratchet] [--list-rules]\n\
+         \x20              [--explain RULE] [--github-annotations]\n\n\
          Workspace-wide determinism & soundness lints (see DESIGN.md §3.8).\n\n\
          options:\n  \
          --root DIR            workspace root (default: this workspace)\n  \
          --json FILE           write the full diagnostic report as JSON\n  \
-         --sarif FILE          write the report as SARIF 2.1.0 (CI annotations)\n  \
-         --graph-json FILE     write the workspace call graph (deterministic)\n  \
          --update-ratchet      rewrite simlint.ratchet with the current debt\n  \
          --list-rules          print every rule and the invariant it protects\n  \
          --explain RULE        print the long-form rationale for one rule\n  \
@@ -61,8 +58,6 @@ fn explain(rule_id: &str) -> ExitCode {
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut json_out: Option<PathBuf> = None;
-    let mut sarif_out: Option<PathBuf> = None;
-    let mut graph_out: Option<PathBuf> = None;
     let mut update_ratchet = false;
     let mut github_annotations = false;
 
@@ -75,14 +70,6 @@ fn main() -> ExitCode {
             },
             "--json" => match args.next() {
                 Some(f) => json_out = Some(PathBuf::from(f)),
-                None => return usage(),
-            },
-            "--sarif" => match args.next() {
-                Some(f) => sarif_out = Some(PathBuf::from(f)),
-                None => return usage(),
-            },
-            "--graph-json" => match args.next() {
-                Some(f) => graph_out = Some(PathBuf::from(f)),
                 None => return usage(),
             },
             "--update-ratchet" => update_ratchet = true,
@@ -134,20 +121,6 @@ fn main() -> ExitCode {
             &outcome.ratchet_delta.under,
         );
         if let Err(e) = std::fs::write(path, json) {
-            eprintln!("simlint: cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-    }
-
-    if let Some(path) = &sarif_out {
-        if let Err(e) = std::fs::write(path, sarif::render(&outcome.diagnostics)) {
-            eprintln!("simlint: cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-    }
-
-    if let Some(path) = &graph_out {
-        if let Err(e) = std::fs::write(path, &outcome.graph_json) {
             eprintln!("simlint: cannot write {}: {e}", path.display());
             return ExitCode::from(2);
         }

@@ -3,15 +3,11 @@
 //! §3.8); each has fixture tests in `tests/rules.rs` proving it catches
 //! its target pattern and respects suppressions.
 //!
-//! Rules come in two tiers: per-file token rules that see one
-//! [`SourceFile`] at a time, and the graph rule r7 that runs over the
-//! workspace call graph ([`crate::graph`]) after every file is parsed,
-//! so a violation in one crate can be traced to a sink in another.
+//! Every rule is a per-file token rule that sees one [`SourceFile`] at a
+//! time.
 
 use crate::diag::Diagnostic;
-use crate::graph::{Graph, NodeId};
 use crate::lexer::TokKind;
-use crate::parse::ParsedFile;
 use crate::source::{FileKind, SourceFile};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -104,21 +100,21 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         id: HASH_ITER_REACH,
-        summary: "no hash-ordered iteration reachable from a render/snapshot sink",
-        invariant: "any function a render sink can reach must not iterate \
-                    hash-ordered containers; order leaks transitively into \
+        summary: "no hash-ordered iteration in production code, no hash containers \
+                  in render-path files",
+        invariant: "any production function may feed a render sink, so none may \
+                    iterate hash-ordered containers; order leaks transitively into \
                     emitted bytes",
-        explain: "Graph rule. Sinks are seeded at every function in a render-path \
-                  file plus every function whose name marks it as an emitter \
-                  (render*/snapshot*/emit*/*_json/jsonl/report*), then reachability \
-                  is propagated over the workspace call graph. A HashMap/HashSet \
-                  iteration inside any reachable function — even three crates away \
-                  from the sink — is flagged, with the sink it serves named in the \
-                  message. In a render-path file every hash-container mention on \
-                  a reachable token is flagged; elsewhere only iteration is, so a \
-                  keyed-lookup-only map that is never iterated is always clean. \
-                  Resolution is name-based and over-approximate (a false edge can \
-                  only add a finding, never hide one).",
+        explain: "Per-file rule that treats every production function as reachable \
+                  from a render sink, instead of tracing which ones are. In a Lib or \
+                  Bin file, iterating a name declared with a HashMap/HashSet type \
+                  (for ... in &m, m.iter(), m.keys(), m.drain(), ...) is flagged, \
+                  while a keyed lookup leaks no order and is clean. In a render-path \
+                  file (sim-core's table/trace/json/metrics/stats/hist modules and \
+                  the bench and campaign crates) every hash-container mention is \
+                  flagged. Fix: use BTreeMap/BTreeSet, or sort before iterating; a \
+                  registry that only ever does keyed get-or-insert can say so with \
+                  simlint::allow-file(hash-iter-reach): <why>.",
         ratchet: true,
     },
     Rule {
@@ -159,9 +155,9 @@ pub fn rule(id: &str) -> Option<&'static Rule> {
 
 /// Files whose output feeds the byte-compared artifacts (tables, traces,
 /// metric snapshots, the repro binary). Hash-ordered containers here are
-/// exactly where iteration order could leak into rendered bytes. Every
-/// function in these files seeds the hash-iter-reach sink set.
-pub fn is_render_path(rel: &str) -> bool {
+/// exactly where iteration order could leak into rendered bytes, so
+/// hash-iter-reach flags every mention of one in these files.
+fn is_render_path(rel: &str) -> bool {
     const RENDER_FILES: &[&str] = &[
         "crates/sim-core/src/table.rs",
         "crates/sim-core/src/trace.rs",
@@ -223,141 +219,25 @@ pub fn check_file(f: &SourceFile, out: &mut Vec<Diagnostic>) {
     check_bare_allow(f, out);
     check_global_metrics(f, out);
     check_threads_outside_par(f, out);
+    check_hash_iter_reach(f, out);
 }
 
-/// Sink seeds and reachability computed by the graph rules, kept for the
-/// `--graph-json` dump.
-pub struct GraphAnalysis {
-    /// Render/emit sink nodes (r7 seeds).
-    pub sinks: BTreeSet<NodeId>,
-    /// Node → the sink it was first reached from.
-    pub reach: BTreeMap<NodeId, NodeId>,
-}
-
-/// Run every graph rule over the parsed workspace, appending raw
-/// diagnostics, and return the sink/reachability sets.
-pub fn check_graph(
-    files: &[(SourceFile, ParsedFile)],
-    graph: &Graph,
-    out: &mut Vec<Diagnostic>,
-) -> GraphAnalysis {
-    let sinks = render_sinks(files, graph);
-    let reach = graph.reachable_from(&sinks);
-    for (f, p) in files {
-        check_hash_iter_reach(f, p, graph, &reach, out);
-    }
-    GraphAnalysis { sinks, reach }
-}
-
-/// Does this fn name mark an output-producing function? These seed the
-/// r7 sink set in files the path heuristic does not cover.
-fn is_sink_name(name: &str) -> bool {
-    let n = name.to_ascii_lowercase();
-    n.contains("render")
-        || n.contains("snapshot")
-        || n.contains("emit")
-        || n.contains("jsonl")
-        || n.ends_with("_json")
-        || n.starts_with("report")
-}
-
-/// Seed the r7 sink set: every production fn (and the module-level
-/// pseudo-node) in a render-path file, plus every production fn whose
-/// name marks it as an emitter, anywhere in the workspace.
-pub fn render_sinks(files: &[(SourceFile, ParsedFile)], graph: &Graph) -> BTreeSet<NodeId> {
-    let mut sinks = BTreeSet::new();
-    for (f, p) in files {
-        if !matches!(f.kind, FileKind::Lib | FileKind::Bin) {
-            continue;
-        }
-        let render_file = is_render_path(&f.rel);
-        if render_file {
-            if let Some(top) = graph.toplevel_node(&f.rel) {
-                sinks.insert(top);
-            }
-        }
-        for (idx, d) in p.fns.iter().enumerate() {
-            if f.in_test_region(d.line) {
-                continue;
-            }
-            if render_file || is_sink_name(&d.name) {
-                if let Some(id) = graph.fn_node(&f.rel, idx) {
-                    sinks.insert(id);
-                }
-            }
-        }
-    }
-    sinks
-}
-
-/// Sink provenance per token of `f`: for each token, the sink that first
-/// reaches the innermost enclosing fn (tokens outside every fn body
-/// belong to the module-level pseudo-node). Inner fns overwrite outer
-/// ones, so a never-called nested fn does not inherit its parent's
-/// reachability.
-fn sink_mask(
-    f: &SourceFile,
-    p: &ParsedFile,
-    graph: &Graph,
-    reach: &BTreeMap<NodeId, NodeId>,
-) -> Vec<Option<NodeId>> {
-    let top_via = graph
-        .toplevel_node(&f.rel)
-        .and_then(|id| reach.get(&id).copied());
-    let mut mask = vec![top_via; f.tokens.len()];
-    let mut order: Vec<(usize, usize, usize)> = Vec::new(); // (span, fn idx, a..=b)
-    for (idx, d) in p.fns.iter().enumerate() {
-        if let Some((a, b)) = d.body {
-            order.push((b - a, idx, a));
-        }
-    }
-    // Widest first so narrower (inner) bodies overwrite.
-    order.sort_by(|x, y| y.0.cmp(&x.0).then(x.1.cmp(&y.1)));
-    for (span, idx, a) in order {
-        let via = graph
-            .fn_node(&f.rel, idx)
-            .and_then(|id| reach.get(&id).copied());
-        for m in mask.iter_mut().skip(a).take(span + 1) {
-            *m = via;
-        }
-    }
-    mask
-}
-
-/// R7: hash-ordered containers reachable from a render sink. In
-/// render-path files every hash-container mention on a reachable token
-/// is flagged; elsewhere only *iteration* over a hash-typed name is — a
-/// keyed lookup leaks no order.
-fn check_hash_iter_reach(
-    f: &SourceFile,
-    p: &ParsedFile,
-    graph: &Graph,
-    reach: &BTreeMap<NodeId, NodeId>,
-    out: &mut Vec<Diagnostic>,
-) {
-    if !matches!(f.kind, FileKind::Lib | FileKind::Bin) {
+/// R7: hash-ordered containers in code whose output can reach emitted
+/// bytes. Every production fn counts as reachable from a render sink: in
+/// render-path files every hash-container mention is flagged; elsewhere
+/// only *iteration* over a hash-typed name is — a keyed lookup leaks no
+/// order.
+fn check_hash_iter_reach(f: &SourceFile, out: &mut Vec<Diagnostic>) {
+    const KINDS: &[FileKind] = &[FileKind::Lib, FileKind::Bin];
+    if !KINDS.contains(&f.kind) {
         return;
     }
     let toks = &f.tokens;
-    let has_hash = toks
-        .iter()
-        .any(|t| t.is_ident("HashMap") || t.is_ident("HashSet"));
-    if !has_hash {
-        return;
-    }
-    let mask = sink_mask(f, p, graph, reach);
-    let sink_of = |id: NodeId| {
-        let n = &graph.nodes[id];
-        format!("`{}` ({}:{})", n.qual, n.file, n.line)
-    };
     let render_file = is_render_path(&f.rel);
     let mut hash_names: BTreeSet<&str> = BTreeSet::new();
     let mut flagged_lines: BTreeSet<u32> = BTreeSet::new();
     for (i, t) in toks.iter().enumerate() {
-        if !(t.is_ident("HashMap") || t.is_ident("HashSet")) {
-            continue;
-        }
-        if !prod_code(f, &[FileKind::Lib, FileKind::Bin], t.line) {
+        if !(t.is_ident("HashMap") || t.is_ident("HashSet")) || !prod_code(f, KINDS, t.line) {
             continue;
         }
         if i >= 2 {
@@ -367,32 +247,26 @@ fn check_hash_iter_reach(
                 hash_names.insert(name.text.as_str());
             }
         }
-        if render_file {
-            if let Some(via) = mask[i] {
-                if flagged_lines.insert(t.line) {
-                    out.push(Diagnostic::new(
-                        HASH_ITER_REACH,
-                        &f.rel,
-                        t.line,
-                        format!(
-                            "hash-ordered `{}` reachable from render sink {}; use \
-                             BTreeMap/BTreeSet or sort before emitting",
-                            t.text,
-                            sink_of(via)
-                        ),
-                    ));
-                }
-            }
+        if render_file && flagged_lines.insert(t.line) {
+            out.push(Diagnostic::new(
+                HASH_ITER_REACH,
+                &f.rel,
+                t.line,
+                format!(
+                    "hash-ordered `{}` in a render-path file; use BTreeMap/BTreeSet \
+                     or sort before emitting",
+                    t.text
+                ),
+            ));
         }
     }
     for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident || !hash_names.contains(t.text.as_str()) {
+        if t.kind != TokKind::Ident
+            || !hash_names.contains(t.text.as_str())
+            || !prod_code(f, KINDS, t.line)
+        {
             continue;
         }
-        if !prod_code(f, &[FileKind::Lib, FileKind::Bin], t.line) {
-            continue;
-        }
-        let Some(via) = mask[i] else { continue };
         let method_iter = i + 2 < toks.len()
             && toks[i + 1].is_punct('.')
             && toks[i + 2].kind == TokKind::Ident
@@ -408,10 +282,9 @@ fn check_hash_iter_reach(
                 &f.rel,
                 t.line,
                 format!(
-                    "iteration over hash-ordered `{}` is reachable from render \
-                     sink {}; order leaks transitively into emitted bytes",
-                    t.text,
-                    sink_of(via)
+                    "iteration over hash-ordered `{}` in production code; its order \
+                     can leak into emitted bytes",
+                    t.text
                 ),
             ));
         }
@@ -421,9 +294,8 @@ fn check_hash_iter_reach(
 /// Apply suppressions: a diagnostic on an allowed line (or in a file
 /// with a file-wide allow for its rule) is marked suppressed, not
 /// dropped — the JSON report still shows it.
-pub fn apply_suppressions(files: &[(SourceFile, ParsedFile)], diags: &mut [Diagnostic]) {
-    let by_rel: BTreeMap<&str, &SourceFile> =
-        files.iter().map(|(f, _)| (f.rel.as_str(), f)).collect();
+pub fn apply_suppressions(files: &[SourceFile], diags: &mut [Diagnostic]) {
+    let by_rel: BTreeMap<&str, &SourceFile> = files.iter().map(|f| (f.rel.as_str(), f)).collect();
     for d in diags.iter_mut() {
         // The bare-allow rule polices the suppression mechanism itself
         // and therefore cannot be silenced by it.

@@ -7,13 +7,12 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// How a file participates in the build, derived from its path. Rules
 /// target kinds: e.g. the panic rule audits `Lib` only, the wallclock
-/// rule skips `Bench` (benches *are* the timing harness).
+/// rule skips `Test` and `Example`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileKind {
     Lib,
     Bin,
     Test,
-    Bench,
     Example,
 }
 
@@ -31,9 +30,9 @@ pub struct Allow {
 
 /// Paren/brace nesting level *before* each token is applied.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Depth {
-    pub paren: u32,
-    pub brace: u32,
+struct Depth {
+    paren: u32,
+    brace: u32,
 }
 
 /// Everything the rules need to know about one source file.
@@ -42,8 +41,6 @@ pub struct SourceFile {
     pub rel: String,
     pub kind: FileKind,
     pub tokens: Vec<Token>,
-    pub comments: Vec<Comment>,
-    pub depths: Vec<Depth>,
     /// Inclusive line ranges covered by `#[test]` fns or `#[cfg(test)]`
     /// items.
     test_ranges: Vec<(u32, u32)>,
@@ -63,9 +60,6 @@ pub fn classify(rel: &str) -> FileKind {
     let parts: Vec<&str> = rel.split('/').collect();
     if parts.contains(&"tests") {
         return FileKind::Test;
-    }
-    if parts.contains(&"benches") {
-        return FileKind::Bench;
     }
     if parts.contains(&"examples") {
         return FileKind::Example;
@@ -108,8 +102,6 @@ impl SourceFile {
             rel: rel.to_string(),
             kind: classify(rel),
             tokens: lexed.tokens,
-            comments: lexed.comments,
-            depths,
             test_ranges,
             par_ranges,
             line_allows,
@@ -350,7 +342,6 @@ mod tests {
         assert_eq!(classify("crates/fabric/src/solver.rs"), FileKind::Lib);
         assert_eq!(classify("crates/bench/src/bin/repro.rs"), FileKind::Bin);
         assert_eq!(classify("crates/fabric/tests/proptests.rs"), FileKind::Test);
-        assert_eq!(classify("crates/bench/benches/tables.rs"), FileKind::Bench);
         assert_eq!(classify("examples/quickstart.rs"), FileKind::Example);
         assert_eq!(classify("src/lib.rs"), FileKind::Lib);
     }

@@ -29,8 +29,7 @@ const LIB_PATH: &str = "crates/fabric/src/solver.rs";
 
 #[test]
 fn r7_flags_every_hash_mention_in_render_paths() {
-    // Every fn in a render-path file is a sink, so declarations count as
-    // well as iteration.
+    // In a render-path file declarations count as well as iteration.
     let diags = lint(RENDER_PATH, include_str!("fixtures/r7_render_positive.rs"));
     assert_eq!(
         shape(&diags),
@@ -51,8 +50,7 @@ fn r7_ignores_btreemap_and_test_mods() {
 
 #[test]
 fn r7_outside_render_paths_flags_only_iteration() {
-    // Outside a render path the fixture's fn is still a sink by name
-    // (`render`), but only the *iteration* sites leak order.
+    // Outside a render path only the *iteration* sites leak order.
     let positive = include_str!("fixtures/r7_render_positive.rs");
     let diags = lint("crates/fabric/src/topology.rs", positive);
     assert_eq!(
@@ -92,10 +90,9 @@ fn r2_flags_clock_reads_in_lib_and_bin() {
 }
 
 #[test]
-fn r2_allows_the_wallclock_module_and_benches() {
+fn r2_allows_the_wallclock_module_and_tests() {
     let src = include_str!("fixtures/r2_positive.rs");
     assert!(lint("crates/sim-core/src/metrics.rs", src).is_empty());
-    assert!(lint("crates/bench/benches/bench_maxmin.rs", src).is_empty());
     assert!(lint("crates/fabric/tests/proptests.rs", src).is_empty());
 }
 
@@ -170,10 +167,9 @@ fn r5_flags_unwrap_expect_panic_in_lib_code() {
 #[test]
 fn r5_spares_tests_bins_and_fallible_combinators() {
     assert!(lint(LIB_PATH, include_str!("fixtures/r5_clean.rs")).is_empty());
-    // The same panicky code in a binary or bench target is allowed.
+    // The same panicky code in a binary target is allowed.
     let positive = include_str!("fixtures/r5_positive.rs");
     assert!(lint("crates/bench/src/bin/repro.rs", positive).is_empty());
-    assert!(lint("crates/bench/benches/tables.rs", positive).is_empty());
 }
 
 #[test]
@@ -189,27 +185,21 @@ fn r5_suppression_and_the_bare_allow_meta_rule() {
     );
 }
 
-// ---- R7: hash-iter-reach (graph rule) ------------------------------------
+// ---- R7: hash-iter-reach outside render paths ----------------------------
 
 #[test]
-fn r7_flags_hash_iteration_reachable_from_a_name_sink() {
+fn r7_flags_hash_iteration_in_lib_code() {
     let diags = lint(LIB_PATH, include_str!("fixtures/r7_reach_positive.rs"));
     assert_eq!(shape(&diags), vec![(HASH_ITER_REACH, 6, false)]);
-    // The message carries sink provenance: which emitter reaches the
-    // iteration, and where it lives.
-    assert!(
-        diags[0].message.contains("snapshot_totals"),
-        "{}",
-        diags[0].message
-    );
 }
 
 #[test]
-fn r7_unreachable_iteration_and_keyed_lookups_are_clean() {
-    // Same hashy helper, but no sink calls it — and the sink that does
-    // exist only does a keyed lookup, which leaks no order.
-    let diags = lint(LIB_PATH, include_str!("fixtures/r7_reach_clean.rs"));
-    assert!(diags.is_empty(), "{:?}", shape(&diags));
+fn r7_flags_iteration_in_any_fn_but_not_keyed_lookups() {
+    // No emitter calls `tally`, but every production fn counts as
+    // reachable, so its iteration is flagged; `snapshot_one` only does a
+    // keyed lookup, which leaks no order.
+    let diags = lint(LIB_PATH, include_str!("fixtures/r7_iter_and_lookup.rs"));
+    assert_eq!(shape(&diags), vec![(HASH_ITER_REACH, 6, false)]);
 }
 
 // ---- R10: global-metrics -------------------------------------------------
@@ -311,13 +301,4 @@ fn workspace_rules_are_live_not_vacuous() {
         outcome.diagnostics.iter().any(|d| d.ratcheted),
         "expected ratcheted panic-in-lib debt outside fabric/sim-core"
     );
-}
-
-#[test]
-fn workspace_graph_json_is_deterministic() {
-    let root = simlint::default_root();
-    let a = simlint::run_workspace(&root).expect("scan workspace");
-    let b = simlint::run_workspace(&root).expect("scan workspace");
-    assert_eq!(a.graph_json, b.graph_json, "graph JSON must be run-stable");
-    assert!(a.graph_json.contains("\"sink\""));
 }
