@@ -3,8 +3,8 @@
 //!
 //! The report answers the three questions the raw snapshot buries in JSON:
 //! where did wall-clock go (section timings), how hard did the solver work
-//! (round histogram and freeze causes), and which links ran hot (the
-//! top-utilization table). Everything else — cache effectiveness, UGAL
+//! (round histogram and freeze causes), and which link level binds (the
+//! per-level saturation table). Everything else — cache effectiveness, UGAL
 //! decisions, MTTI cause tallies — shows up in the closing counter table.
 
 use frontier_core::prelude::Table;
@@ -62,23 +62,30 @@ pub fn render_report(snap: &MetricsSnapshot) -> String {
         out.push('\n');
     }
 
-    // Top-utilized links.
-    if let Some(top) = snap.top.get("fabric.link.top_util") {
-        if !top.is_empty() {
-            let mut t = Table::new(
-                format!(
-                    "Top-utilized links ({} observed, {} saturated)",
-                    snap.counters.get("fabric.link.observed").unwrap_or(&0),
-                    snap.counters.get("fabric.link.saturated").unwrap_or(&0)
-                ),
-                &["link", "peak util"],
-            );
-            for (label, util) in top {
-                t.row(&[label.clone(), format!("{:.3}", util)]);
-            }
-            out.push_str(&t.to_string());
-            out.push('\n');
+    // Saturated links per level, in fixed order: which level binds.
+    let levels = ["injection", "ejection", "local", "global"].map(|lvl| {
+        let c = |kind: &str| snap.counters.get(&format!("fabric.link.{lvl}.{kind}"));
+        (lvl, c("observed"), c("saturated"))
+    });
+    if levels.iter().any(|(_, obs, _)| obs.is_some()) {
+        let count = |c: Option<&u64>| c.copied().unwrap_or(0);
+        let observed: u64 = levels.iter().map(|l| count(l.1)).sum();
+        let saturated: u64 = levels.iter().map(|l| count(l.2)).sum();
+        let mut t = Table::new(
+            format!("Link saturation by level ({observed} observed, {saturated} saturated)"),
+            &["level", "observed", "saturated", "saturated %"],
+        );
+        for (lvl, obs, sat) in levels {
+            let (obs, sat) = (count(obs), count(sat));
+            t.row(&[
+                lvl.to_string(),
+                obs.to_string(),
+                sat.to_string(),
+                format!("{:.1}", 100.0 * sat as f64 / obs.max(1) as f64),
+            ]);
         }
+        out.push_str(&t.to_string());
+        out.push('\n');
     }
 
     // Everything countable, verbatim.
@@ -190,10 +197,10 @@ mod tests {
         r.counter("fabric.maxmin.frozen_saturation").add(60);
         r.histogram("fabric.maxmin.rounds_per_solve", 0.0, 64.0, 16)
             .record(5.0);
-        r.counter("fabric.link.observed").add(12);
-        r.counter("fabric.link.saturated").add(3);
-        r.top_k("fabric.link.top_util", 10)
-            .observe("t9.global.4", 0.97);
+        r.counter("fabric.link.ejection.observed").add(8);
+        r.counter("fabric.link.ejection.saturated").add(3);
+        r.counter("fabric.link.global.observed").add(4);
+        r.counter("fabric.link.global.saturated").add(1);
         {
             let _t = r.timer("repro.section.table5");
         }
@@ -202,7 +209,12 @@ mod tests {
         assert!(text.contains("table5"));
         assert!(text.contains("2 solves"));
         assert!(text.contains("rounds per solve"));
-        assert!(text.contains("t9.global.4"));
+        assert!(text.contains("Link saturation by level (12 observed, 4 saturated)"));
+        assert!(text.contains("37.5"), "ejection saturated %");
+        assert!(
+            text.contains("injection"),
+            "levels with no counters still get a row"
+        );
         assert!(text.contains("fabric.maxmin.frozen_demand"));
     }
 

@@ -54,7 +54,7 @@ fn metrics_do_not_perturb_sections_and_cover_required_families() {
         .histograms
         .contains_key("fabric.maxmin.rounds_per_solve"));
     assert!(snap.histograms.contains_key("fabric.link.utilization"));
-    assert!(snap.top.contains_key("fabric.link.top_util"));
+    assert!(snap.counters.contains_key("fabric.link.ejection.observed"));
 
     // The snapshot round-trips through JSON with the required families
     // visible (the repro binary writes exactly this string).

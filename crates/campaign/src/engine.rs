@@ -102,11 +102,9 @@ pub struct VariantRow {
     /// This variant's own telemetry (requires
     /// [`RunConfig::variant_metrics`]): the capacity point's scoped
     /// activity (solve/resolve, GPCNeT, HPL — shared by the point's
-    /// overlay variants, extracted as a [`MetricsSnapshot::delta_since`]
-    /// against the track's previous point) absorbed with the variant
-    /// scope's overlay arithmetic. Gauge and top-k rows that did not move
-    /// at this point are omitted by the delta — each row describes what
-    /// its capacity change did. The wall-clock section is cleared, so the
+    /// overlay variants, collected in a registry of its own) absorbed with
+    /// the variant scope's overlay arithmetic, so each row describes what
+    /// its capacity point did. The wall-clock section is cleared, so the
     /// snapshot is a pure function of `(spec, variant)` and
     /// serial/parallel JSONL stays byte-identical.
     pub metrics: Option<MetricsSnapshot>,
@@ -286,18 +284,12 @@ fn run_track(
     let power_model = PowerModel::frontier();
     let base_fits = FitModel::frontier();
 
-    // The step scopes capture each capacity point's fabric work
-    // (solve/resolve, GPCNeT, HPL), which the point's overlay variants
-    // share. One registry is reused across the track's points — a fresh
-    // registry per step would re-tabulate every link label of the machine
-    // into cold maps on each point — and each point's own activity is
-    // extracted as `delta_since` the previous point's snapshot. The delta
-    // keeps only the gauge/top-k rows that moved at this point, so later
-    // rows describe what the capacity change did, not the whole history.
-    let step_registry = variant_metrics.then(|| Arc::new(MetricsRegistry::new()));
-    let mut prev_step_full = MetricsSnapshot::default();
-
     for (step_idx, step) in track.steps.iter().enumerate() {
+        // The step scope captures this capacity point's fabric work
+        // (solve/resolve, GPCNeT, HPL), which the point's overlay variants
+        // share. A fresh registry per point makes its snapshot exactly
+        // this point's activity.
+        let step_registry = variant_metrics.then(|| Arc::new(MetricsRegistry::new()));
         let step_scope = step_registry.as_ref().map(|r| {
             MetricsScope::enter_named(format!("track:{ordinal}/step:{step_idx}"), Arc::clone(r))
         });
@@ -325,12 +317,7 @@ fn run_track(
         let gpcnet_impact = want_gpcnet.then(|| run_gpcnet(&vparams, nodes, track.seed));
         let fom_ef = want_hpl.then(|| hpl_fom(&vparams, nodes));
         drop(step_scope);
-        let step_snap = step_registry.as_ref().map(|r| {
-            let full = deterministic_snapshot(r);
-            let delta = full.delta_since(&prev_step_full);
-            prev_step_full = full;
-            delta
-        });
+        let step_snap = step_registry.as_ref().map(|r| deterministic_snapshot(r));
         stats.outcome_built += 1;
         let outcome = Outcome {
             mpi,
@@ -524,6 +511,11 @@ mod tests {
                 m.counters.get("campaign.variant.overlay_evals"),
                 Some(&1),
                 "each row carries exactly its own overlay evaluation"
+            );
+            assert_eq!(
+                m.counters.get("fabric.maxmin.solves"),
+                Some(&1),
+                "each row carries exactly its own capacity point's solve"
             );
         }
         // One track snapshot per (shape, seed) chain, each holding its own

@@ -27,7 +27,7 @@
 //!   (v1). The parity property tests pin v3 to it at 1e-9 relative
 //!   agreement, cold and warm.
 
-use crate::topology::{Flow, LinkLevel, Topology};
+use crate::topology::{Flow, Topology};
 use frontier_sim_core::metrics;
 use frontier_sim_core::units::Bandwidth;
 use std::collections::BTreeMap;
@@ -147,24 +147,14 @@ where
         .collect()
 }
 
-/// Stable per-link telemetry label: topology size disambiguates links of
-/// differently scaled builds, then level and id, e.g. `t4608.global.1234`.
-fn link_label(nl: usize, l: usize, level: LinkLevel) -> String {
-    let lvl = match level {
-        LinkLevel::Injection => "inj",
-        LinkLevel::Ejection => "ej",
-        LinkLevel::Local => "local",
-        LinkLevel::Global => "global",
-    };
-    format!("t{nl}.{lvl}.{l}")
-}
-
 /// Publish one solve's telemetry: solver progress counters, the
-/// rounds-per-solve histogram, and per-link utilization (histogram,
-/// saturation count, and the top-utilized-links table). Every update is
-/// order-independent — counter adds, bucket increments, and per-label
-/// maxima — so snapshots cannot depend on how concurrent solves
-/// interleave (see the determinism contract in `frontier_sim_core::metrics`).
+/// rounds-per-solve histogram, the per-link utilization histogram, and
+/// how many used links of each [`LinkLevel`](crate::topology::LinkLevel)
+/// the solve observed and saturated
+/// (`fabric.link.<level>.{observed,saturated}`). Every update is
+/// order-independent — counter adds and bucket increments — so snapshots
+/// cannot depend on how concurrent solves interleave (see the determinism
+/// contract in `frontier_sim_core::metrics`).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn publish_solve_metrics(
     m: &metrics::MetricsRegistry,
@@ -187,26 +177,31 @@ pub(crate) fn publish_solve_metrics(
         .record(rounds as f64);
 
     let util_hist = m.histogram("fabric.link.utilization", 0.0, 1.0, 20);
-    let saturated = m.counter("fabric.link.saturated");
-    let observed = m.counter("fabric.link.observed");
-    let top = m.top_k("fabric.link.top_util", 10);
-    let nl = caps.len();
-    for l in 0..nl {
+    let mut observed = [0u64; 4];
+    let mut saturated = [0u64; 4];
+    for l in 0..caps.len() {
         // Only links some flow actually crossed: idle links would swamp
         // the distribution with zeros.
         if deg[l] == 0 || caps[l] <= 0.0 {
             continue;
         }
         let util = ((caps[l] - avail[l]) / caps[l]).clamp(0.0, 1.0);
-        observed.inc();
+        let lvl = topo.link(crate::topology::LinkId(l as u32)).level as usize;
+        observed[lvl] += 1;
         util_hist.record(util);
         if util >= 1.0 - 1e-6 {
-            saturated.inc();
+            saturated[lvl] += 1;
         }
-        top.observe(
-            &link_label(nl, l, topo.link(crate::topology::LinkId(l as u32)).level),
-            util,
-        );
+    }
+    // `LinkLevel` declaration order, which `level as usize` indexes.
+    for (lvl, name) in ["injection", "ejection", "local", "global"]
+        .into_iter()
+        .enumerate()
+    {
+        m.counter(&format!("fabric.link.{name}.observed"))
+            .add(observed[lvl]);
+        m.counter(&format!("fabric.link.{name}.saturated"))
+            .add(saturated[lvl]);
     }
 }
 

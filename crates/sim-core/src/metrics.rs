@@ -1,5 +1,5 @@
 //! Simulator-wide telemetry: a [`MetricsRegistry`] of hierarchically named
-//! counters, max-gauges, histograms, top-k tables, and wall-clock timers.
+//! counters, max-gauges, histograms, and wall-clock timers.
 //!
 //! Instrumented code publishes through [`active`], which resolves to the
 //! innermost *scoped* registry installed on the current thread (see
@@ -52,10 +52,7 @@
 //!
 //! * counters — `u64` additions commute exactly;
 //! * max-gauges — `max` is commutative and associative, even over `f64`;
-//! * histograms — integer bucket increments commute;
-//! * top-k — the full `label → max(value)` map is kept and the k winners
-//!   are selected at snapshot time, so the result cannot depend on
-//!   observation order (a bounded heap would).
+//! * histograms — integer bucket increments commute.
 //!
 //! There is deliberately **no f64 sum metric**: float addition is not
 //! associative, so a parallel sum would leak the thread schedule into the
@@ -63,17 +60,9 @@
 //! family; they live in their own `wallclock` snapshot section, which
 //! determinism comparisons exclude (see [`MetricsSnapshot::deterministic_json`]).
 
-// simlint::allow-file(hash-iter-reach): the registry shards and top-k tables are
-// HashMaps for lock-splitting and O(1) handle resolution; every snapshot copies
-// them into the name-sorted BTreeMaps of MetricsSnapshot (and sorts top-k entries
-// by a total order) before any byte is rendered, so iteration order never reaches
-// emitted output.
-
 use crate::json;
 use std::cell::RefCell;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, HashMap};
-use std::hash::{Hash, Hasher};
+use std::collections::BTreeMap;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
@@ -87,11 +76,6 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().expect("metrics lock poisoned")
 }
 
-/// Registry shards. Metric handles are resolved by name once per
-/// instrumentation site invocation; sharding the name→metric map keeps
-/// concurrent sections from serializing on one lock.
-const SHARDS: usize = 16;
-
 /// Sentinel bit pattern for a never-observed max-gauge.
 const GAUGE_UNSET: f64 = f64::NEG_INFINITY;
 
@@ -101,7 +85,6 @@ enum Metric {
     /// [`GAUGE_UNSET`]; never-observed gauges are omitted from snapshots.
     MaxGauge(AtomicU64),
     Hist(HistMetric),
-    TopK(TopKMetric),
     /// Wall-clock samples in nanoseconds, recording order preserved.
     Wall(Mutex<Vec<u64>>),
 }
@@ -114,38 +97,11 @@ struct HistMetric {
     overflow: AtomicU64,
 }
 
-struct TopKMetric {
-    k: usize,
-    state: Mutex<TopKState>,
-}
-
-/// Full label → running-max map plus the current k winners, maintained
-/// incrementally on observe. Because per-label values only ever rise, the
-/// winner set is an exact function of the map contents regardless of
-/// observation order — and snapshots are O(k) instead of a scan over
-/// every label ever observed (a full machine's link table holds hundreds
-/// of thousands, and scoped sweeps snapshot once per capacity point).
-#[derive(Default)]
-struct TopKState {
-    map: HashMap<String, f64>,
-    /// The k best `(label, value)` pairs in final snapshot order.
-    winners: Vec<(String, f64)>,
-}
-
-/// `(av, al)` sorts strictly before `(bv, bl)` in a top-k table: value
-/// descending, then label ascending — a total order (`total_cmp`), so
-/// ties cannot reorder across runs and a stray NaN cannot poison the
-/// selection.
-fn top_before(av: f64, al: &str, bv: f64, bl: &str) -> bool {
-    av.total_cmp(&bv).reverse().then_with(|| al.cmp(bl)).is_lt()
-}
-
 fn kind_name(m: &Metric) -> &'static str {
     match m {
         Metric::Counter(_) => "counter",
         Metric::MaxGauge(_) => "max_gauge",
         Metric::Hist(_) => "histogram",
-        Metric::TopK(_) => "top_k",
         Metric::Wall(_) => "wallclock",
     }
 }
@@ -217,50 +173,6 @@ impl Hist {
     }
 }
 
-/// Handle to a top-k table of labeled maxima.
-#[derive(Clone)]
-pub struct TopK(Arc<Metric>);
-
-impl TopK {
-    pub fn observe(&self, label: &str, v: f64) {
-        if !v.is_finite() {
-            return;
-        }
-        if let Metric::TopK(t) = &*self.0 {
-            let mut st = lock(&t.state);
-            // Keyed update with no allocation for already-seen labels.
-            // Values only rise, so an observation at or below the stored
-            // max is a complete no-op — the winners cannot change either.
-            if let Some(slot) = st.map.get_mut(label) {
-                if v <= *slot {
-                    return;
-                }
-                *slot = v;
-            } else {
-                st.map.insert(label.to_string(), v);
-            }
-            // Re-seat the label among the winners. A winner whose value
-            // rose stays a winner (nothing else moved); a non-winner
-            // enters only by displacing the current worst.
-            let st = &mut *st;
-            if let Some(i) = st.winners.iter().position(|(l, _)| l == label) {
-                st.winners.remove(i);
-            } else if st.winners.len() == t.k {
-                match st.winners.last() {
-                    Some((wl, wv)) if top_before(v, label, *wv, wl) => {
-                        st.winners.pop();
-                    }
-                    _ => return,
-                }
-            }
-            let pos = st
-                .winners
-                .partition_point(|(bl, bv)| top_before(*bv, bl, v, label));
-            st.winners.insert(pos, (label.to_string(), v));
-        }
-    }
-}
-
 /// Handle to a wall-clock sample series (nanoseconds).
 #[derive(Clone)]
 pub struct Wallclock(Arc<Metric>);
@@ -286,10 +198,11 @@ impl Drop for TimerScope {
     }
 }
 
-/// A sharded registry of named metrics. One process-global instance lives
-/// behind [`global`]/[`active`]; tests construct private instances.
+/// A registry of named metrics behind one lock. One process-global
+/// instance lives behind [`global`]/[`active`]; tests construct private
+/// instances.
 pub struct MetricsRegistry {
-    shards: [Mutex<HashMap<String, Arc<Metric>>>; SHARDS],
+    metrics: Mutex<BTreeMap<String, Arc<Metric>>>,
 }
 
 impl Default for MetricsRegistry {
@@ -301,18 +214,12 @@ impl Default for MetricsRegistry {
 impl MetricsRegistry {
     pub fn new() -> Self {
         MetricsRegistry {
-            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
+            metrics: Mutex::new(BTreeMap::new()),
         }
     }
 
-    fn shard(&self, name: &str) -> &Mutex<HashMap<String, Arc<Metric>>> {
-        let mut h = DefaultHasher::new();
-        name.hash(&mut h);
-        &self.shards[(h.finish() as usize) % SHARDS]
-    }
-
     fn get_or_insert(&self, name: &str, make: impl FnOnce() -> Metric) -> Arc<Metric> {
-        let mut map = lock(self.shard(name));
+        let mut map = lock(&self.metrics);
         if let Some(m) = map.get(name) {
             return Arc::clone(m);
         }
@@ -366,22 +273,6 @@ impl MetricsRegistry {
         Hist(m)
     }
 
-    /// Top-`k` table handle for `name`: tracks the maximum value seen per
-    /// label and snapshots the k largest.
-    pub fn top_k(&self, name: &str, k: usize) -> TopK {
-        assert!(k > 0, "top-0 table");
-        let m = self.typed(name, "top_k", || {
-            Metric::TopK(TopKMetric {
-                k,
-                state: Mutex::new(TopKState::default()),
-            })
-        });
-        if let Metric::TopK(t) = &*m {
-            assert!(t.k == k, "top-k `{name}` re-registered with a different k");
-        }
-        TopK(m)
-    }
-
     /// Wall-clock series handle for `name`.
     pub fn wallclock(&self, name: &str) -> Wallclock {
         Wallclock(self.typed(name, "wallclock", || Metric::Wall(Mutex::new(Vec::new()))))
@@ -399,67 +290,55 @@ impl MetricsRegistry {
     /// keep updating their detached metrics, which later snapshots will
     /// not see — re-resolve handles after a reset.
     pub fn reset(&self) {
-        for shard in &self.shards {
-            lock(shard).clear();
-        }
+        lock(&self.metrics).clear();
     }
 
     /// A point-in-time, name-sorted copy of every metric.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::default();
-        for shard in &self.shards {
-            let map = lock(shard);
-            for (name, m) in map.iter() {
-                match &**m {
-                    Metric::Counter(c) => {
-                        snap.counters
-                            .insert(name.clone(), c.load(Ordering::Relaxed));
+        for (name, m) in lock(&self.metrics).iter() {
+            match &**m {
+                Metric::Counter(c) => {
+                    snap.counters
+                        .insert(name.clone(), c.load(Ordering::Relaxed));
+                }
+                Metric::MaxGauge(a) => {
+                    let v = f64::from_bits(a.load(Ordering::Relaxed));
+                    if v > GAUGE_UNSET {
+                        snap.gauges.insert(name.clone(), v);
                     }
-                    Metric::MaxGauge(a) => {
-                        let v = f64::from_bits(a.load(Ordering::Relaxed));
-                        if v > GAUGE_UNSET {
-                            snap.gauges.insert(name.clone(), v);
-                        }
-                    }
-                    Metric::Hist(h) => {
-                        snap.histograms.insert(
-                            name.clone(),
-                            HistSnapshot {
-                                lo: h.lo,
-                                hi: h.hi,
-                                buckets: h
-                                    .buckets
-                                    .iter()
-                                    .map(|b| b.load(Ordering::Relaxed))
-                                    .collect(),
-                                underflow: h.underflow.load(Ordering::Relaxed),
-                                overflow: h.overflow.load(Ordering::Relaxed),
-                            },
-                        );
-                    }
-                    Metric::TopK(t) => {
-                        // The winners are maintained incrementally in
-                        // final order (see [`TopKState`]); the full label
-                        // map is never scanned here.
-                        let st = lock(&t.state);
-                        snap.top.insert(name.clone(), st.winners.clone());
-                    }
-                    Metric::Wall(samples) => {
-                        let samples = lock(samples);
-                        let mut sorted = samples.clone();
-                        sorted.sort_unstable();
-                        let calls = sorted.len() as u64;
-                        let total_ns: u64 = sorted.iter().sum();
-                        let median_ns = sorted.get(sorted.len() / 2).copied().unwrap_or(0);
-                        snap.wallclock.insert(
-                            name.clone(),
-                            WallSnapshot {
-                                calls,
-                                total_ms: total_ns as f64 / 1e6,
-                                median_ms: median_ns as f64 / 1e6,
-                            },
-                        );
-                    }
+                }
+                Metric::Hist(h) => {
+                    snap.histograms.insert(
+                        name.clone(),
+                        HistSnapshot {
+                            lo: h.lo,
+                            hi: h.hi,
+                            buckets: h
+                                .buckets
+                                .iter()
+                                .map(|b| b.load(Ordering::Relaxed))
+                                .collect(),
+                            underflow: h.underflow.load(Ordering::Relaxed),
+                            overflow: h.overflow.load(Ordering::Relaxed),
+                        },
+                    );
+                }
+                Metric::Wall(samples) => {
+                    let samples = lock(samples);
+                    let mut sorted = samples.clone();
+                    sorted.sort_unstable();
+                    let calls = sorted.len() as u64;
+                    let total_ns: u64 = sorted.iter().sum();
+                    let median_ns = sorted.get(sorted.len() / 2).copied().unwrap_or(0);
+                    snap.wallclock.insert(
+                        name.clone(),
+                        WallSnapshot {
+                            calls,
+                            total_ms: total_ns as f64 / 1e6,
+                            median_ms: median_ns as f64 / 1e6,
+                        },
+                    );
                 }
             }
         }
@@ -504,8 +383,6 @@ pub struct MetricsSnapshot {
     pub counters: BTreeMap<String, u64>,
     pub gauges: BTreeMap<String, f64>,
     pub histograms: BTreeMap<String, HistSnapshot>,
-    /// Top-k winners per table, value-descending.
-    pub top: BTreeMap<String, Vec<(String, f64)>>,
     /// The only order-dependent section; excluded from
     /// [`MetricsSnapshot::deterministic_json`].
     pub wallclock: BTreeMap<String, WallSnapshot>,
@@ -530,8 +407,6 @@ impl MetricsSnapshot {
             &mut out,
             self.histograms.iter().map(|(k, h)| (k, hist_json(h))),
         );
-        out.push_str("},\n  \"top\": {");
-        push_entries(&mut out, self.top.iter().map(|(k, e)| (k, top_json(e))));
         out.push_str("},\n  \"wallclock\": {");
         push_entries(
             &mut out,
@@ -560,100 +435,12 @@ impl MetricsSnapshot {
         clone.to_json()
     }
 
-    /// What happened *since* `base`, per metric family:
-    ///
-    /// * **counters / histograms** — tallies are subtracted (saturating,
-    ///   so a delta against an unrelated snapshot degrades to the raw
-    ///   value instead of wrapping); names absent from `base` pass through
-    ///   whole; names present only in `base` (a metric that stopped being
-    ///   touched) are omitted — their delta is zero. Only a base histogram
-    ///   with the identical shape is subtracted: re-registered bounds or
-    ///   bucket counts mean a different series.
-    /// * **gauges / top-k** — running maxima are not subtractable, so the
-    ///   delta keeps exactly the entries that *changed*: a gauge that rose
-    ///   (or appeared), a top-k row whose max moved (or is new). Entries
-    ///   bit-identical to `base` are omitted — nothing happened to them.
-    ///   Tables with no surviving rows are dropped.
-    /// * **wall-clock** — genuinely non-invertible (samples are summarized
-    ///   at snapshot time); `self`'s series pass through unchanged. Delta
-    ///   consumers must not read `wallclock` as "since base".
-    ///
-    /// This is the bracketed-phase primitive: snapshot before, snapshot
-    /// after, and `after.delta_since(&before)` is the phase's own activity
-    /// even on a shared monotone registry. (Code that can use a
-    /// [`MetricsScope`] should prefer one — a private registry needs no
-    /// subtraction at all.)
-    pub fn delta_since(&self, base: &Self) -> Self {
-        let counters = self
-            .counters
-            .iter()
-            .map(|(k, &v)| {
-                (
-                    k.clone(),
-                    v.saturating_sub(base.counters.get(k).copied().unwrap_or(0)),
-                )
-            })
-            .collect();
-        let histograms = self
-            .histograms
-            .iter()
-            .map(|(k, h)| {
-                let mut d = h.clone();
-                if let Some(b) = base.histograms.get(k) {
-                    if same_hist_shape(h, b) {
-                        for (cur, old) in d.buckets.iter_mut().zip(&b.buckets) {
-                            *cur = cur.saturating_sub(*old);
-                        }
-                        d.underflow = d.underflow.saturating_sub(b.underflow);
-                        d.overflow = d.overflow.saturating_sub(b.overflow);
-                    }
-                }
-                (k.clone(), d)
-            })
-            .collect();
-        let gauges = self
-            .gauges
-            .iter()
-            .filter(|(k, v)| {
-                base.gauges
-                    .get(*k)
-                    .is_none_or(|b| b.to_bits() != v.to_bits())
-            })
-            .map(|(k, &v)| (k.clone(), v))
-            .collect();
-        let top = self
-            .top
-            .iter()
-            .filter_map(|(k, entries)| {
-                let base_tbl = base.top.get(k);
-                let changed: Vec<(String, f64)> = entries
-                    .iter()
-                    .filter(|(label, v)| {
-                        base_tbl
-                            .and_then(|tbl| tbl.iter().find(|(bl, _)| bl == label))
-                            .is_none_or(|(_, bv)| bv.to_bits() != v.to_bits())
-                    })
-                    .cloned()
-                    .collect();
-                (!changed.is_empty()).then(|| (k.clone(), changed))
-            })
-            .collect();
-        MetricsSnapshot {
-            counters,
-            gauges,
-            histograms,
-            top,
-            wallclock: self.wallclock.clone(),
-        }
-    }
-
     /// Merge `other` into `self` with each family's commutative combine:
-    /// counters and same-shape histograms add, gauges and top-k rows take
-    /// the per-name/per-label maximum, wall-clock series sum calls and
-    /// total time (the merged median is the max of the two medians — an
-    /// upper bound, since the underlying samples are gone by snapshot
-    /// time). A histogram whose shape disagrees keeps `self`'s series
-    /// untouched, mirroring [`MetricsSnapshot::delta_since`].
+    /// counters and same-shape histograms add, gauges take the per-name
+    /// maximum, wall-clock series sum calls and total time (the merged
+    /// median is the max of the two medians — an upper bound, since the
+    /// underlying samples are gone by snapshot time). A histogram whose
+    /// shape disagrees keeps `self`'s series untouched.
     ///
     /// Absorbing disjoint scoped snapshots in any order yields the same
     /// deterministic sections — this is how per-section or per-variant
@@ -682,20 +469,6 @@ impl MetricsSnapshot {
                     self.histograms.insert(k.clone(), h.clone());
                 }
             }
-        }
-        for (k, entries) in &other.top {
-            let mine = self.top.entry(k.clone()).or_default();
-            let mut merged: BTreeMap<String, f64> =
-                mine.iter().map(|(label, v)| (label.clone(), *v)).collect();
-            for (label, v) in entries {
-                merged
-                    .entry(label.clone())
-                    .and_modify(|cur| *cur = cur.max(*v))
-                    .or_insert(*v);
-            }
-            let mut rows: Vec<(String, f64)> = merged.into_iter().collect();
-            rows.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-            *mine = rows;
         }
         for (k, w) in &other.wallclock {
             self.wallclock
@@ -730,8 +503,6 @@ impl MetricsSnapshot {
             &mut out,
             self.histograms.iter().map(|(k, h)| (k, hist_json(h))),
         );
-        out.push_str("}, \"top\": {");
-        push_compact(&mut out, self.top.iter().map(|(k, e)| (k, top_json(e))));
         out.push_str("}}");
         out
     }
@@ -753,20 +524,6 @@ fn hist_json(h: &HistSnapshot) -> String {
         h.underflow,
         h.overflow
     )
-}
-
-fn top_json(entries: &[(String, f64)]) -> String {
-    let items: Vec<String> = entries
-        .iter()
-        .map(|(label, v)| {
-            format!(
-                "{{\"label\": {}, \"value\": {}}}",
-                json::escape(label),
-                json::number(*v)
-            )
-        })
-        .collect();
-    format!("[{}]", items.join(", "))
 }
 
 /// Append `"key": value` entries without any whitespace framing — the
@@ -1057,21 +814,6 @@ mod tests {
     }
 
     #[test]
-    fn top_k_selects_winners_with_stable_ties() {
-        let r = MetricsRegistry::new();
-        let t = r.top_k("t", 2);
-        t.observe("b", 0.5);
-        t.observe("a", 0.5);
-        t.observe("c", 0.9);
-        t.observe("b", 0.2); // below b's max; ignored
-        let s = r.snapshot();
-        assert_eq!(
-            s.top["t"],
-            vec![("c".to_string(), 0.9), ("a".to_string(), 0.5)]
-        );
-    }
-
-    #[test]
     fn timer_scope_records_on_drop() {
         let r = MetricsRegistry::new();
         {
@@ -1126,47 +868,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_since_subtracts_counters_and_histograms() {
-        let r = MetricsRegistry::new();
-        r.counter("phase.ops").add(10);
-        r.histogram("phase.latency", 0.0, 10.0, 5).record(1.0);
-        r.histogram("phase.latency", 0.0, 10.0, 5).record(-1.0);
-        let before = r.snapshot();
-
-        r.counter("phase.ops").add(7);
-        r.counter("phase.new").add(3);
-        r.histogram("phase.latency", 0.0, 10.0, 5).record(1.5);
-        r.histogram("phase.latency", 0.0, 10.0, 5).record(99.0);
-        r.max_gauge("phase.peak").observe(42.0);
-        let after = r.snapshot();
-
-        let d = after.delta_since(&before);
-        assert_eq!(d.counters["phase.ops"], 7);
-        assert_eq!(d.counters["phase.new"], 3);
-        let h = &d.histograms["phase.latency"];
-        assert_eq!(h.count(), 2, "only the two post-base observations");
-        assert_eq!(h.underflow, 0);
-        assert_eq!(h.overflow, 1);
-        // Gauges pass through from the later snapshot (non-invertible).
-        assert_eq!(d.gauges["phase.peak"], 42.0);
-    }
-
-    #[test]
-    fn delta_since_is_saturating_and_skips_vanished_names() {
-        let mut before = MetricsSnapshot::default();
-        before.counters.insert("gone".into(), 5);
-        before.counters.insert("shrunk".into(), 100);
-        let mut after = MetricsSnapshot::default();
-        after.counters.insert("shrunk".into(), 60);
-        let d = after.delta_since(&before);
-        assert_eq!(d.counters["shrunk"], 0, "unrelated base saturates to 0");
-        assert!(
-            !d.counters.contains_key("gone"),
-            "names only in base are omitted"
-        );
-    }
-
-    #[test]
     fn global_toggle_gates_active() {
         // The only unit test touching the global flag, so it cannot race
         // sibling tests (which all use private registries or scopes).
@@ -1181,47 +882,11 @@ mod tests {
     }
 
     #[test]
-    fn delta_since_keeps_only_changed_gauges_and_top_rows() {
-        let r = MetricsRegistry::new();
-        r.max_gauge("steady").observe(5.0);
-        r.max_gauge("rises").observe(1.0);
-        let t = r.top_k("links", 4);
-        t.observe("l0", 0.9);
-        t.observe("l1", 0.5);
-        let before = r.snapshot();
-
-        r.max_gauge("rises").observe(2.0);
-        r.max_gauge("fresh").observe(7.0);
-        t.observe("l1", 0.8);
-        t.observe("l2", 0.3);
-        let d = r.snapshot().delta_since(&before);
-
-        assert!(!d.gauges.contains_key("steady"), "unchanged gauge dropped");
-        assert_eq!(d.gauges["rises"], 2.0);
-        assert_eq!(d.gauges["fresh"], 7.0);
-        let rows = &d.top["links"];
-        assert!(
-            !rows.iter().any(|(l, _)| l == "l0"),
-            "unmoved top row dropped: {rows:?}"
-        );
-        assert!(rows.contains(&("l1".to_string(), 0.8)));
-        assert!(rows.contains(&("l2".to_string(), 0.3)));
-
-        // A snapshot delta'd against itself has no gauge/top content and
-        // zeroed counters — "nothing happened".
-        let again = r.snapshot();
-        let none = again.delta_since(&again);
-        assert!(none.gauges.is_empty());
-        assert!(none.top.is_empty());
-    }
-
-    #[test]
     fn absorb_merges_every_family_commutatively() {
         let a = MetricsRegistry::new();
         a.counter("ops").add(3);
         a.max_gauge("peak").observe(1.0);
         a.histogram("lat", 0.0, 4.0, 4).record(0.5);
-        a.top_k("links", 4).observe("l0", 0.9);
         {
             let _t = a.timer("wall");
         }
@@ -1230,8 +895,6 @@ mod tests {
         b.counter("other").inc();
         b.max_gauge("peak").observe(2.5);
         b.histogram("lat", 0.0, 4.0, 4).record(3.5);
-        b.top_k("links", 4).observe("l0", 0.2);
-        b.top_k("links", 4).observe("l1", 0.6);
         {
             let _t = b.timer("wall");
         }
@@ -1246,10 +909,6 @@ mod tests {
         assert_eq!(ab.counters["other"], 1);
         assert_eq!(ab.gauges["peak"], 2.5);
         assert_eq!(ab.histograms["lat"].count(), 2);
-        assert_eq!(
-            ab.top["links"],
-            vec![("l0".to_string(), 0.9), ("l1".to_string(), 0.6)]
-        );
         assert_eq!(ab.wallclock["wall"].calls, 2);
         // Order independence on the deterministic sections.
         assert_eq!(ab.deterministic_json(), ba.deterministic_json());

@@ -20,8 +20,6 @@ fn record_one(x: u64) {
         m.histogram("scopetest.vals", 0.0, 1024.0, 16)
             .record(x as f64);
         m.max_gauge("scopetest.peak").observe(x as f64);
-        m.top_k("scopetest.top", 4)
-            .observe(&format!("bin:{}", x % 8), x as f64);
     }
 }
 
