@@ -2,7 +2,7 @@
 //!
 //! The integrated Frontier machine: the Bard Peak node model
 //! (`frontier-node`), the Slingshot dragonfly (`frontier-fabric`), the I/O
-//! subsystem (`frontier-storage`), the scheduler (`frontier-sched`), and
+//! subsystem (`frontier-storage`), the placement policy (`frontier-sched`), and
 //! the resilience and power models, assembled under one handle with the
 //! aggregate spec derivations of Tables 1 and 2.
 //!

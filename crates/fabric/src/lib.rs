@@ -32,14 +32,12 @@
 //! congestion control degrades to per-flow fairness, letting aggressors
 //! with many flows crush victims.
 
-pub mod bisection;
 pub mod collectives;
 pub mod des;
 pub mod dragonfly;
 pub mod fattree;
 pub mod gpcnet;
 pub mod latency;
-pub mod manager;
 pub mod maxmin;
 pub mod mpigraph;
 pub mod patterns;

@@ -39,14 +39,13 @@
 //!
 //! [`Solver`] adds **warm-start re-solves** on top: it caches the per-flow
 //! rates of the last solve, and [`Solver::resolve_with`] re-solves only
-//! the components touched by a delta (removed links, re-provisioned
-//! capacities, re-routed flows, removed flows), copying every untouched
-//! component's rates straight from the cache. It also keeps the
-//! decomposition: a delta that moves no path (capacity changes and link
-//! removals only) leaves the flow index and the components valid, so they
-//! are rebuilt only when a flow is re-routed or withdrawn. The fabric
-//! manager's failure sweep, the UGAL minimal-vs-adaptive comparison and
-//! the campaign engine's capacity sweep all re-solve workloads that differ
+//! the components touched by a delta (re-provisioned capacities, re-routed
+//! flows, removed flows), copying every untouched component's rates
+//! straight from the cache. It also keeps the decomposition: a delta that
+//! moves no path (capacity changes only) leaves the flow index and the
+//! components valid, so they are rebuilt only when a flow is re-routed or
+//! withdrawn. The UGAL minimal-vs-adaptive comparison and the campaign
+//! engine's capacity sweep both re-solve workloads that differ
 //! from the previous solve in a handful of paths or capacities, which is
 //! exactly this shape.
 //!
@@ -615,22 +614,21 @@ pub(crate) fn solve_event_driven(topo: &Topology, flows: &[Flow], weights: &[f64
 }
 
 /// A change set for [`Solver::resolve_with`]. Every link named here —
-/// removed links, re-provisioned links whose capacity actually changed,
-/// the old and new paths of changed flows, the paths of removed flows —
-/// is *dirty*: components of the updated workload that contain a dirty
-/// link are re-solved, everything else reuses the cached rates (provably
-/// unchanged: any membership or capacity change would have dirtied one of
-/// the component's links).
+/// re-provisioned links whose capacity actually changed, the old and new
+/// paths of changed flows, the paths of removed flows — is *dirty*:
+/// components of the updated workload that contain a dirty link are
+/// re-solved, everything else reuses the cached rates (provably unchanged:
+/// any membership or capacity change would have dirtied one of the
+/// component's links).
 #[derive(Debug, Clone, Default)]
 pub struct ResolveDelta {
-    /// Links whose capacity drops to zero (failed pipes).
-    pub removed_links: Vec<LinkId>,
     /// `(link, new capacity)` re-provisions: the link keeps its flows but
     /// its capacity changes. This is the campaign-sweep delta — a
     /// link-rate / taper-bundle / protocol-efficiency parameter step is a
-    /// batch of capacity changes over an unchanged routing. Entries whose
-    /// capacity bit-equals the solver's current effective capacity are
-    /// no-ops and do not dirty the link.
+    /// batch of capacity changes over an unchanged routing; a failed pipe
+    /// is a change to zero capacity. Entries whose capacity bit-equals the
+    /// solver's current effective capacity are no-ops and do not dirty the
+    /// link; when a link appears more than once, the last entry wins.
     pub changed_capacities: Vec<(LinkId, Bandwidth)>,
     /// `(flow index, new path)` re-routes.
     pub changed_flows: Vec<(usize, Vec<LinkId>)>,
@@ -639,14 +637,6 @@ pub struct ResolveDelta {
 }
 
 impl ResolveDelta {
-    /// Delta that only removes links.
-    pub fn removed_links(links: Vec<LinkId>) -> Self {
-        ResolveDelta {
-            removed_links: links,
-            ..Default::default()
-        }
-    }
-
     /// Delta that only re-provisions link capacities.
     pub fn changed_capacities(changes: Vec<(LinkId, Bandwidth)>) -> Self {
         ResolveDelta {
@@ -673,13 +663,14 @@ impl ResolveDelta {
 }
 
 /// A max-min solve that owns its flow set and caches frozen state so
-/// subsequent deltas — link failures, capacity changes, re-routes,
-/// withdrawn flows — re-solve only the interference components they touch.
+/// subsequent deltas — capacity changes (a failed link is a change to
+/// zero), re-routes, withdrawn flows — re-solve only the interference
+/// components they touch.
 pub struct Solver<'a> {
     topo: &'a Topology,
     flows: Vec<Flow>,
     weights: Vec<f64>,
-    /// Effective capacities (removed links are zeroed here; the borrowed
+    /// Effective capacities (re-provisions land here; the borrowed
     /// topology is never mutated).
     caps: Vec<f64>,
     excluded: Vec<bool>,
@@ -774,12 +765,10 @@ impl<'a> Solver<'a> {
     /// any capacity change, would have marked one of its links dirty — so
     /// its cached rates are still the max-min fixed point. The decomposition
     /// is rebuilt only when the delta re-routes or withdraws a flow; capacity
-    /// changes and link removals move no path.
+    /// changes move no path.
     pub fn resolve_with(&mut self, delta: &ResolveDelta) -> Allocation {
         let nl = self.caps.len();
         let mut dirty = vec![false; nl];
-        // Capacity re-provisions first; a removal of the same link below
-        // wins (zero capacity is what "removed" means to the engine).
         for (l, cap) in &delta.changed_capacities {
             let li = l.0 as usize;
             let new = cap.as_bytes_per_sec();
@@ -787,10 +776,6 @@ impl<'a> Solver<'a> {
                 self.caps[li] = new;
                 dirty[li] = true;
             }
-        }
-        for l in &delta.removed_links {
-            dirty[l.0 as usize] = true;
-            self.caps[l.0 as usize] = 0.0;
         }
         for &fi in &delta.removed_flows {
             for l in &self.flows[fi].path {
@@ -1102,7 +1087,16 @@ mod tests {
                     }
                 }
                 if g.range(0..3u32) == 0 {
-                    delta.removed_links.push(LinkId(g.range(0..nl)));
+                    // A failed pipe, pushed after the re-provisions so that
+                    // it wins over an earlier entry for the same link; half
+                    // the time it is the link just re-provisioned.
+                    let dead = match delta.changed_capacities.last() {
+                        Some(&(l, _)) if g.bool() => l,
+                        _ => LinkId(g.range(0..nl)),
+                    };
+                    delta
+                        .changed_capacities
+                        .push((dead, Bandwidth::bytes_per_sec(0.0)));
                 }
                 let live: Vec<usize> = (0..nf).filter(|&fi| !withdrawn[fi]).collect();
                 if !live.is_empty() && g.range(0..3u32) == 0 {
@@ -1119,12 +1113,9 @@ mod tests {
                         delta.removed_flows.push(fi);
                     }
                 }
-                // Removal wins over a re-provision of the same link.
+                // The last entry for a link wins.
                 for &(l, cap) in &delta.changed_capacities {
                     caps[l.0 as usize] = cap;
-                }
-                for &l in &delta.removed_links {
-                    caps[l.0 as usize] = Bandwidth::bytes_per_sec(0.0);
                 }
                 for &fi in &delta.removed_flows {
                     withdrawn[fi] = true;
@@ -1244,9 +1235,10 @@ mod tests {
         let dead = flows[4].path[1];
         let mut solver = Solver::new(&t, flows.clone());
         solver.solve();
-        let warm = solver.resolve_with(&ResolveDelta::removed_links(vec![dead]));
+        let zero = Bandwidth::bytes_per_sec(0.0);
+        let warm = solver.resolve_with(&ResolveDelta::changed_capacities(vec![(dead, zero)]));
         let mut t2 = t.clone();
-        t2.set_capacity(dead, Bandwidth::bytes_per_sec(0.0));
+        t2.set_capacity(dead, zero);
         let cold = solve_maxmin(&t2, &flows);
         assert_close(&warm.rates, &cold.rates);
     }
@@ -1315,9 +1307,10 @@ mod tests {
         let (t, flows) = disjoint_cells(2, 3);
         let mut solver = Solver::new(&t, flows.clone());
         let dead = flows[0].path[1];
-        let a = solver.resolve_with(&ResolveDelta::removed_links(vec![dead]));
+        let zero = Bandwidth::bytes_per_sec(0.0);
+        let a = solver.resolve_with(&ResolveDelta::changed_capacities(vec![(dead, zero)]));
         let mut t2 = t.clone();
-        t2.set_capacity(dead, Bandwidth::bytes_per_sec(0.0));
+        t2.set_capacity(dead, zero);
         let cold = solve_maxmin(&t2, &flows);
         assert_close(&a.rates, &cold.rates);
     }

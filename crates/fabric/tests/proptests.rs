@@ -190,10 +190,10 @@ fn optimized_matches_reference() {
     });
 }
 
-/// Warm-start re-solves are exact: removing a random link (and
-/// re-routing the flows that crossed it onto fresh paths) then calling
-/// [`Solver::resolve_with`] matches a cold reference solve of the
-/// updated workload on a topology with the removed link zeroed —
+/// Warm-start re-solves are exact: failing a random link (a change to
+/// zero capacity) and re-routing the flows that crossed it onto fresh
+/// paths, then calling [`Solver::resolve_with`], matches a cold reference
+/// solve of the updated workload on a topology with that link zeroed —
 /// to 1e-9, for random shapes, flow sets, and deltas.
 #[test]
 fn warm_resolve_matches_cold_reference() {
@@ -250,10 +250,9 @@ fn warm_resolve_matches_cold_reference() {
         let mut solver = Solver::new(topo, flows.clone());
         solver.solve();
         let warm = solver.resolve_with(&ResolveDelta {
-            removed_links: vec![dead],
+            changed_capacities: vec![(dead, Bandwidth::bytes_per_sec(0.0))],
             changed_flows: changed.clone(),
             removed_flows: vec![],
-            changed_capacities: vec![],
         });
 
         // Cold oracle: same updated flows on a topology with the link dead.

@@ -137,4 +137,30 @@ mod tests {
         let ratio = r.ridge_point(Precision::Fp16) / r.ridge_point(Precision::Fp64);
         assert!((ratio - 8.0).abs() < 0.01);
     }
+
+    #[test]
+    fn fft_is_memory_bound_on_a_gcd() {
+        // The GESTS proxy treats the local transform as HBM-bound; confirm
+        // against the roofline: FFT intensity ~ 5·log2(N)/(2·16) flops/byte
+        // per pass stays below the FP64 ridge (~15) for any practical N.
+        let n = 1u64 << 40; // absurdly large transform
+        let intensity = 5.0 * (n as f64).log2() / 32.0;
+        let r = Roofline::mi250x_gcd();
+        assert!(
+            r.is_memory_bound(Kernel::new(intensity, Precision::Fp64)),
+            "FFT intensity {intensity} should sit below the ridge {}",
+            r.ridge_point(Precision::Fp64)
+        );
+    }
+
+    #[test]
+    fn gemm_intensity_is_past_the_ridge() {
+        // Dense GEMM at practical sizes: intensity N/8-ish >> ridge — the
+        // compute-bound side of the split (LSMS, CoMet, HPL).
+        let r = Roofline::mi250x_gcd();
+        for n in [1024.0, 8192.0] {
+            let intensity = n / 8.0;
+            assert!(!r.is_memory_bound(Kernel::new(intensity, Precision::Fp64)));
+        }
+    }
 }

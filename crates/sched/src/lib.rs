@@ -1,9 +1,7 @@
 //! # frontier-sched
 //!
-//! Model of Frontier's system-level scheduling stack (§3.4.2): a Slurm-like
-//! scheduler with exclusive-node allocation, *checknode* health gating
-//! between jobs, per-jobstep VNI (Virtual Network Identifier) isolation,
-//! and the topology-aware placement policy the paper describes:
+//! Frontier's topology-aware placement policy (§3.4.2), applied by job
+//! size exactly as the paper describes:
 //!
 //! > "For small jobs able to fit within a single rack/group, Slurm will
 //! > pack allocations tightly to minimize global hops. For larger jobs,
@@ -11,18 +9,10 @@
 //! > groups as possible to maximize the number of global connections (and
 //! > thus global bandwidth) available to minimal routing."
 
-pub mod health;
-pub mod job;
 pub mod placement;
-pub mod slurm;
-pub mod vni;
 
 pub mod prelude {
-    pub use crate::health::{HealthState, NodeHealth};
-    pub use crate::job::{Job, JobId, JobState};
     pub use crate::placement::{allocate, placement_metrics, PlacementPolicy};
-    pub use crate::slurm::Scheduler;
-    pub use crate::vni::VniAllocator;
 }
 
 pub use prelude::*;

@@ -3,11 +3,8 @@
 //! Counts may shrink (tighten the file with `--update-ratchet`) but a
 //! commit can never grow them.
 //!
-//! File format, one entry per line, sorted, `#` comments allowed:
-//!
-//! ```text
-//! panic-in-lib crates/sched/src/slurm.rs 4
-//! ```
+//! File format: one `<rule> <file> <count>` entry per line, sorted, `#`
+//! comments allowed.
 
 use crate::diag::Diagnostic;
 use crate::rules;

@@ -18,7 +18,6 @@
 //!   HBM in ~180 s; <5 % of walltime spent on I/O).
 
 pub mod fio;
-pub mod metadata;
 pub mod nodelocal;
 pub mod nvme;
 pub mod orion;
@@ -28,7 +27,6 @@ pub mod workload;
 
 pub mod prelude {
     pub use crate::fio::{FioJob, FioPattern};
-    pub use crate::metadata::MetadataService;
     pub use crate::nodelocal::NodeLocalStorage;
     pub use crate::nvme::{DeviceSpec, Raid0};
     pub use crate::orion::{Orion, OrionTier};

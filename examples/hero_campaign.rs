@@ -1,7 +1,7 @@
 //! An end-to-end hero campaign: a GESTS-style full-machine turbulence run
-//! scheduled through Slurm, stepping the PSDNS model, checkpointing to
-//! Orion at the Young/Daly cadence, and absorbing injected hardware
-//! failures — every subsystem model working together.
+//! stepping the PSDNS model, checkpointing to Orion at the Young/Daly
+//! cadence, and absorbing injected hardware failures — the application,
+//! storage and resilience models working together.
 //!
 //! ```text
 //! cargo run --release --example hero_campaign

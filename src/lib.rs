@@ -16,7 +16,7 @@
 //!   with routing, a max-min-fair flow solver, mpiGraph, and GPCNeT;
 //! * [`storage`] — node-local NVMe burst buffers and the Orion Lustre file
 //!   system (SSUs, dRAID, PFL/DoM);
-//! * [`sched`] — the Slurm-like topology-aware scheduler;
+//! * [`sched`] — the topology-aware pack/spread placement policy;
 //! * [`apps`] — machine models and the CAAR/ECP application proxies;
 //! * [`resilience`] — FIT rates, MTTI, checkpoint planning;
 //! * [`power`] — the component power model and Green500 arithmetic;
@@ -40,7 +40,6 @@
 pub use frontier_campaign as campaign;
 pub use frontier_core::prelude;
 pub use frontier_core::{apps, fabric, node, power, resilience, sched, sim_core, storage};
-pub use frontier_miniapps as miniapps;
 
 /// The integrated machine handle (re-exported from `frontier-core`).
 pub use frontier_core::machine::FrontierMachine;

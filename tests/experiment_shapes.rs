@@ -13,7 +13,6 @@ use frontier::node::dram::{DramConfig, DramSystem, NpsMode, StoreMode};
 use frontier::node::gemm::{GemmModel, Precision};
 use frontier::node::stream::cpu_stream;
 use frontier::node::transfer::{TransferEngine, TransferKind};
-use frontier::prelude::*;
 
 /// Fig. 6's central contrast: the dragonfly distribution is wide with a
 /// small fast population; the fat-tree is tight.
@@ -186,24 +185,4 @@ fn placement_changes_available_bandwidth() {
     let mp = placement_metrics(&df, &pack);
     let ms = placement_metrics(&df, &spread);
     assert!(ms.minimal_global_bandwidth.as_gb_s() > 2.0 * mp.minimal_global_bandwidth.as_gb_s());
-}
-
-/// The machine-level DES ties together: a job stream with failure
-/// injection completes deterministically.
-#[test]
-fn deterministic_end_to_end() {
-    let run = || {
-        let df = Dragonfly::build(DragonflyParams::scaled(8, 4, 4));
-        let mut s = frontier::sched::slurm::Scheduler::new(
-            df,
-            frontier::sched::placement::PlacementPolicy::TopologyAware,
-        );
-        let mut rng = StreamRng::from_seed(5);
-        for _ in 0..20 {
-            let nodes = 1 + rng.index(10);
-            s.submit(nodes, SimTime::from_secs(100 + rng.int_range(0, 1000)));
-        }
-        s.run_to_completion()
-    };
-    assert_eq!(run(), run());
 }
