@@ -15,12 +15,18 @@
 //! random draw comes from a stream keyed by `(seed, component, index)`
 //! rather than from shared sequential state.
 
+#![expect(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::expect_used,
+    reason = "a binary: it prints the paper's tables and its diagnostics; section names are validated before rendering"
+)]
+
 use frontier_bench::experiments as exp;
 use frontier_bench::{report, Scale};
 use frontier_core::sim_core::prelude::{SimTime, Trace};
 use frontier_core::sim_core::{metrics, par};
 use std::sync::Mutex;
-// simlint::allow(wallclock): trace spans are operator-facing timing, emitted only behind --trace and never part of the byte-compared repro output
 use std::time::Instant;
 
 const SECTIONS: &[(&str, &str)] = &[
@@ -147,7 +153,10 @@ fn main() {
     // Per-section wall-clock spans for `--trace`, stamped against one
     // process-wide origin so concurrent sections nest correctly in the
     // chrome://tracing view.
-    // simlint::allow(wallclock): the shared origin for --trace span stamps; determinism diffs never see the trace file
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "--trace stamps section spans on the wall clock; the byte-compared output never sees them"
+    )]
     let t0 = Instant::now();
     // (track, name, scope, start, end) rows for the chrome trace.
     type SpanRow = (String, String, String, u64, u64);
@@ -202,7 +211,7 @@ fn main() {
         for (_, snap) in &section_snaps {
             m.absorb(snap);
         }
-        m.absorb(&metrics::global().snapshot());
+        m.absorb(&global_snapshot());
         m
     };
     if let Some(path) = &metrics_out {
@@ -226,7 +235,17 @@ fn main() {
     if want_report {
         print!(
             "{}",
-            report::render_scoped_report(&section_snaps, &metrics::global().snapshot())
+            report::render_scoped_report(&section_snaps, &global_snapshot())
         );
     }
+}
+
+/// The process-global registry's snapshot: the shared-resource telemetry
+/// (topology-cache builds) that no section scope owns.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "--metrics and --report read the process-global registry, which the byte-compared output never sees"
+)]
+fn global_snapshot() -> metrics::MetricsSnapshot {
+    metrics::global().snapshot()
 }

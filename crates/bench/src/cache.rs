@@ -26,12 +26,7 @@
 //! the high-water entry count, and [`purge`] drops everything eagerly for
 //! callers (campaign runs) that want a hard scope boundary.
 
-// simlint::allow-file(hash-iter-reach): the registries are keyed get-or-insert
-// maps — nothing rendered derives from them. The one iteration, the LRU eviction
-// scan, selects the minimum unique access tick, which is iteration-order
-// independent; HashMap is here for O(1) lookup on the repro hot path.
-use std::collections::HashMap;
-use std::hash::Hash;
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use frontier_core::apps::machine::MachineModel;
@@ -55,14 +50,14 @@ struct Entry<V> {
 /// touch, evict-min-tick on overflow. Waiters on the same key block
 /// behind the single build without holding the registry lock.
 struct Lru<K, V> {
-    map: HashMap<K, Entry<V>>,
+    map: BTreeMap<K, Entry<V>>,
     tick: u64,
 }
 
 impl<K, V> Default for Lru<K, V> {
     fn default() -> Self {
         Lru {
-            map: HashMap::new(),
+            map: BTreeMap::new(),
             tick: 0,
         }
     }
@@ -93,14 +88,17 @@ fn cached_with_capacity<K, V>(
     build: impl FnOnce() -> V,
 ) -> Arc<V>
 where
-    K: Eq + Hash + Clone,
+    K: Ord + Clone,
 {
     assert!(capacity > 0, "cache family must hold at least one entry");
     if let Some(m) = metrics::active() {
         m.counter(&format!("bench.cache.{family}.requests")).inc();
     }
     let cell = {
-        // simlint::allow(panic-in-lib): poisoned = a topology build already panicked; every later section would see a half-built cache
+        #[expect(
+            clippy::expect_used,
+            reason = "poisoned = a topology build already panicked; every later section would see a half-built cache"
+        )]
         let mut reg = registry.lock().expect("cache poisoned");
         reg.tick += 1;
         let tick = reg.tick;
@@ -112,8 +110,8 @@ where
         let cell = Arc::clone(&entry.cell);
         if reg.map.len() > capacity {
             // Evict the stalest entry. Ticks are unique, so the minimum is
-            // well-defined regardless of HashMap iteration order; the
-            // just-touched entry holds the maximum tick and cannot be it.
+            // well-defined; the just-touched entry holds the maximum tick
+            // and cannot be it.
             if let Some(stale) = reg
                 .map
                 .iter()
@@ -149,7 +147,7 @@ fn cached<K, V>(
     build: impl FnOnce() -> V,
 ) -> Arc<V>
 where
-    K: Eq + Hash + Clone,
+    K: Ord + Clone,
 {
     cached_with_capacity(registry, family, key, FAMILY_CAPACITY, build)
 }
@@ -208,11 +206,17 @@ pub fn fattree(params: FatTreeParams) -> Arc<FatTree> {
 /// forget them, so the next request rebuilds.
 pub fn purge() {
     if let Some(reg) = DRAGONFLY.get() {
-        // simlint::allow(panic-in-lib): poisoned = a topology build already panicked; see `cached_with_capacity`
+        #[expect(
+            clippy::expect_used,
+            reason = "poisoned = a topology build already panicked; see `cached_with_capacity`"
+        )]
         reg.lock().expect("cache poisoned").map.clear();
     }
     if let Some(reg) = FATTREE.get() {
-        // simlint::allow(panic-in-lib): poisoned = a topology build already panicked; see `cached_with_capacity`
+        #[expect(
+            clippy::expect_used,
+            reason = "poisoned = a topology build already panicked; see `cached_with_capacity`"
+        )]
         reg.lock().expect("cache poisoned").map.clear();
     }
 }

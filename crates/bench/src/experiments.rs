@@ -163,9 +163,12 @@ pub fn fig5_text() -> String {
         &["Pair", "CU kernel", "SDMA"],
     );
     for (a, b, label) in pairs {
-        // simlint::allow(panic-in-lib): `pairs` above lists only GCD pairs adjacent in the fixed MI250X link table, for which peer_bandwidth is total
+        #[expect(
+            clippy::unwrap_used,
+            reason = "`pairs` above lists only GCD pairs adjacent in the fixed MI250X link table, for which peer_bandwidth is total"
+        )]
         let cu = engine.peer_bandwidth(a, b, TransferKind::CuKernel).unwrap();
-        // simlint::allow(panic-in-lib): same fixed adjacency as the line above
+        #[expect(clippy::unwrap_used, reason = "same fixed adjacency as the line above")]
         let sdma = engine.peer_bandwidth(a, b, TransferKind::Sdma).unwrap();
         t.row(&[
             format!("GCD{a}-GCD{b} ({label})"),
@@ -426,7 +429,10 @@ pub fn placement_text() -> String {
         (64, PlacementPolicy::Pack),
         (64, PlacementPolicy::Spread),
     ] {
-        // simlint::allow(panic-in-lib): `free` holds every node of the freshly built machine and the largest request is 64 nodes, so allocation cannot fail
+        #[expect(
+            clippy::expect_used,
+            reason = "`free` holds every node of the freshly built machine and the largest request is 64 nodes, so allocation cannot fail"
+        )]
         let a = allocate(&df, &free, nodes, policy).expect("machine is empty");
         let m = placement_metrics(&df, &a);
         out.push_str(&format!(
@@ -446,10 +452,13 @@ pub fn nps_text() -> String {
         String::from("NPS ablation (paper: ~180 GB/s NPS-4 vs ~125 GB/s NPS-1, non-temporal)\n");
     for nps in [NpsMode::Nps4, NpsMode::Nps1] {
         let rs = cpu_stream(&dram, StoreMode::NonTemporal, nps);
+        #[expect(
+            clippy::expect_used,
+            reason = "cpu_stream always reports all four STREAM kernels"
+        )]
         let triad = rs
             .iter()
             .find(|r| r.kernel == node::stream::StreamKernel::Triad)
-            // simlint::allow(panic-in-lib): cpu_stream always reports all four STREAM kernels
             .expect("triad present");
         out.push_str(&format!(
             "{nps:?}: triad {:.1} GB/s, loaded latency {}\n",
@@ -690,9 +699,12 @@ pub fn section_text_scoped(name: &str, scale: Scale) -> Option<(String, metrics:
 
 /// Everything, in paper order.
 pub fn all_text(scale: Scale) -> String {
+    #[expect(
+        clippy::expect_used,
+        reason = "section_text is total over PAPER_ORDER by construction (pinned by the section_names test)"
+    )]
     let sections: Vec<String> = PAPER_ORDER
         .iter()
-        // simlint::allow(panic-in-lib): section_text is total over PAPER_ORDER by construction (pinned by the section_names test)
         .map(|name| section_text(name, scale).expect("PAPER_ORDER names are known"))
         .collect();
     sections.join("\n")

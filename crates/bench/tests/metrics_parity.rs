@@ -24,8 +24,16 @@ fn metrics_do_not_perturb_sections_and_cover_required_families() {
     let off = render_all();
 
     metrics::set_enabled(true);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "this test checks what reaches the process-global registry"
+    )]
     metrics::global().reset();
     let on = render_all();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "this test checks what reaches the process-global registry"
+    )]
     let snap = metrics::global().snapshot();
     metrics::set_enabled(false);
 

@@ -21,6 +21,10 @@ const SECTIONS: [&str; 4] = ["table5", "mtti", "collectives", "ugal"];
 
 fn scoped_snapshots(parallel: bool) -> Vec<(String, String)> {
     let render = |name: &&str| {
+        #[expect(
+            clippy::expect_used,
+            reason = "a test helper: SECTIONS lists known sections, and a miss must fail the test"
+        )]
         let (_, snap) = exp::section_text_scoped(name, Scale::Small).expect("known section");
         (name.to_string(), snap.deterministic_json())
     };
@@ -37,6 +41,10 @@ fn per_section_snapshots_are_structural_and_schedule_independent() {
     // instrumentation in, exactly as in `repro --report` before
     // `set_enabled` — and global must stay empty throughout.
     metrics::set_enabled(false);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "this test checks what reaches the process-global registry"
+    )]
     metrics::global().reset();
 
     let serial = scoped_snapshots(false);
@@ -74,6 +82,10 @@ fn per_section_snapshots_are_structural_and_schedule_independent() {
     // Scoped collection with the global flag off leaves the global
     // registry untouched (the topology cache's shared-resource telemetry
     // also needs the flag, so even `bench.cache.*.built` stays out).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "this test checks what reaches the process-global registry"
+    )]
     let global = metrics::global().snapshot();
     assert!(
         global.counters.is_empty(),

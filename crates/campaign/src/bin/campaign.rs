@@ -17,12 +17,17 @@
 //! snapshots are wall-clock-free, so the artifact stays byte-identical
 //! between serial and parallel runs.
 
+#![expect(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a binary: it prints its throughput report and diagnostics"
+)]
+
 use frontier_campaign::engine::{self, Mode, RunConfig};
 use frontier_campaign::jsonl;
 use frontier_campaign::spec::CampaignSpec;
 use frontier_core::sim_core::metrics;
 use std::process::ExitCode;
-// simlint::allow(wallclock): operator-facing throughput report on stdout; never enters the JSONL artifact
 use std::time::Instant;
 
 const USAGE: &str =
@@ -116,9 +121,16 @@ fn main() -> ExitCode {
 
     if cli.metrics {
         metrics::set_enabled(true);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "--metrics reads the process-global registry, which the JSONL artifact never sees"
+        )]
         metrics::global().reset();
     }
-    // simlint::allow(wallclock): stdout throughput report only
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the throughput line on stdout is wall-clock; the JSONL artifact is not"
+    )]
     let t0 = Instant::now();
     let cfg = RunConfig {
         mode: cli.mode,
@@ -153,6 +165,10 @@ fn main() -> ExitCode {
         result.rows.len(),
     );
     if cli.metrics {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "--metrics reads the process-global registry, which the JSONL artifact never sees"
+        )]
         let snap = metrics::global().snapshot();
         metrics::set_enabled(false);
         let mut keys: Vec<&String> = snap.counters.keys().collect();

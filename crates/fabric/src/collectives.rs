@@ -14,13 +14,16 @@ use crate::routing::{RoutePolicy, Router};
 use crate::topology::EndpointId;
 use frontier_sim_core::prelude::*;
 use std::cell::RefCell;
-use std::collections::HashMap;
 
 /// Interned routed paths, keyed by (src, dst) endpoint pair. The value is
 /// a span into the shared [`MessageBatch`] path pool, which outlives
 /// `clear()` — so each pair is routed and copied into the pool exactly
 /// once across all rounds of a collective.
-type PathCache = HashMap<(EndpointId, EndpointId), PathSpan>;
+#[expect(
+    clippy::disallowed_types,
+    reason = "keyed lookups only, never iterated, on the des-allreduce hot path"
+)]
+type PathCache = std::collections::HashMap<(EndpointId, EndpointId), PathSpan>;
 
 /// Allreduce algorithm choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

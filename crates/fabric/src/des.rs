@@ -178,9 +178,11 @@ impl MessageBatch {
     /// Panics on an empty path: a message must traverse at least one link.
     pub fn intern(&mut self, path: &[LinkId]) -> PathSpan {
         assert!(!path.is_empty(), "message with empty path");
-        let off = u32::try_from(self.path_pool.len())
-            // simlint::allow(panic-in-lib): a >4-billion-link path pool is unrepresentable workload, not a recoverable error
-            .expect("path pool exceeds u32 index space");
+        #[expect(
+            clippy::expect_used,
+            reason = "a >4-billion-link path pool is unrepresentable workload, not a recoverable error"
+        )]
+        let off = u32::try_from(self.path_pool.len()).expect("path pool exceeds u32 index space");
         self.path_pool.extend_from_slice(path);
         PathSpan {
             off,

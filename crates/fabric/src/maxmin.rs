@@ -155,7 +155,10 @@ where
 /// order-independent — counter adds and bucket increments — so snapshots
 /// cannot depend on how concurrent solves interleave (see the determinism
 /// contract in `frontier_sim_core::metrics`).
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one solve's outputs from its single call site; a struct would be built only to be unpacked here"
+)]
 pub(crate) fn publish_solve_metrics(
     m: &metrics::MetricsRegistry,
     topo: &Topology,

@@ -309,7 +309,7 @@ mod tests {
             uf.union(i, i + 1); // {0,1,2,3}
         }
         uf.union(5, 6); // {5,6}
-        let mut roots = std::collections::HashSet::new();
+        let mut roots = std::collections::BTreeSet::new();
         for i in 0..8 {
             roots.insert(uf.find(i));
         }

@@ -14,10 +14,19 @@ use frontier_fabric::routing::{RoutePolicy, Router};
 use frontier_fabric::solver::{ResolveDelta, Solver};
 use frontier_fabric::topology::{EndpointId, LinkLevel};
 use frontier_sim_core::check;
-use frontier_sim_core::metrics;
+use frontier_sim_core::metrics::{self, MetricsRegistry};
 use frontier_sim_core::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::{Mutex, MutexGuard};
+
+/// The process-global registry, which these tests check.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "this test binary checks what reaches the process-global registry"
+)]
+fn global() -> &'static MetricsRegistry {
+    metrics::global()
+}
 
 static GLOBAL_METRICS: Mutex<()> = Mutex::new(());
 
@@ -50,7 +59,7 @@ fn route_and_solve(
     parallel: bool,
 ) -> (Vec<f64>, String) {
     metrics::set_enabled(true);
-    metrics::global().reset();
+    global().reset();
     let r = Router::new(df, RoutePolicy::adaptive_default());
     let flows = if parallel {
         r.route_all_parallel(pairs, 0, seed)
@@ -58,7 +67,7 @@ fn route_and_solve(
         r.route_all_serial(pairs, 0, seed)
     };
     let alloc = solve_maxmin(df.topology(), &flows);
-    let snap = metrics::global().snapshot().deterministic_json();
+    let snap = global().snapshot().deterministic_json();
     metrics::set_enabled(false);
     (alloc.rates, snap)
 }
@@ -90,7 +99,7 @@ fn scoped_collection_isolates_from_global_and_matches_serial() {
     // opt the instrumentation in, and nothing may reach the global
     // registry.
     metrics::set_enabled(false);
-    metrics::global().reset();
+    global().reset();
 
     let df = Dragonfly::build(DragonflyParams::scaled(6, 4, 4));
     let n = df.params().total_endpoints();
@@ -123,7 +132,7 @@ fn scoped_collection_isolates_from_global_and_matches_serial() {
     );
 
     // Isolation: the global registry saw none of it.
-    let global = metrics::global().snapshot();
+    let global = global().snapshot();
     assert!(global.counters.is_empty(), "{:?}", global.counters);
     assert!(global.histograms.is_empty());
 }
@@ -132,14 +141,14 @@ fn scoped_collection_isolates_from_global_and_matches_serial() {
 fn solver_metrics_add_up() {
     let _g = lock();
     metrics::set_enabled(true);
-    metrics::global().reset();
+    global().reset();
     let df = Dragonfly::build(DragonflyParams::scaled(6, 4, 4));
     let n = df.params().total_endpoints();
     let pairs = random_pairs(n, 7, 50);
     let r = Router::new(&df, RoutePolicy::adaptive_default());
     let flows = r.route_all(&pairs, 0, 7);
     let alloc = solve_maxmin(df.topology(), &flows);
-    let snap = metrics::global().snapshot();
+    let snap = global().snapshot();
     metrics::set_enabled(false);
 
     assert_eq!(snap.counters["fabric.maxmin.solves"], 1);
@@ -186,7 +195,7 @@ fn solver_metrics_add_up() {
 fn warm_resolve_metrics_add_up() {
     let _g = lock();
     metrics::set_enabled(true);
-    metrics::global().reset();
+    global().reset();
     let df = Dragonfly::build(DragonflyParams::scaled(6, 4, 4));
     let n = df.params().total_endpoints();
     let pairs = random_pairs(n, 13, 40);
@@ -195,7 +204,7 @@ fn warm_resolve_metrics_add_up() {
     let mut solver = Solver::new(df.topology(), flows);
     let cold = solver.solve();
     let warm = solver.resolve_with(&ResolveDelta::default());
-    let snap = metrics::global().snapshot();
+    let snap = global().snapshot();
     metrics::set_enabled(false);
 
     // One cold solve + one warm re-solve.
@@ -226,13 +235,13 @@ fn warm_resolve_metrics_add_up() {
 fn ugal_decisions_partition_the_batch() {
     let _g = lock();
     metrics::set_enabled(true);
-    metrics::global().reset();
+    global().reset();
     let df = Dragonfly::build(DragonflyParams::scaled(8, 4, 4));
     let n = df.params().total_endpoints();
     let pairs = random_pairs(n, 11, 80);
     let r = Router::new(&df, RoutePolicy::Minimal);
     let flows = r.route_all_ugal(&pairs, 0, 11);
-    let snap = metrics::global().snapshot();
+    let snap = global().snapshot();
     metrics::set_enabled(false);
 
     assert_eq!(flows.len(), 80);
@@ -249,7 +258,7 @@ fn ugal_decisions_partition_the_batch() {
 fn des_counts_messages_and_hop_events() {
     let _g = lock();
     metrics::set_enabled(true);
-    metrics::global().reset();
+    global().reset();
     let df = Dragonfly::build(DragonflyParams::scaled(4, 4, 2));
     let n = df.params().total_endpoints();
     let pairs = random_pairs(n, 3, 12);
@@ -261,7 +270,7 @@ fn des_counts_messages_and_hop_events() {
     }
     let total_hops: u64 = flows.iter().map(|f| f.path.len() as u64).sum();
     simulate(df.topology(), &DesConfig::default(), &batch);
-    let snap = metrics::global().snapshot();
+    let snap = global().snapshot();
     metrics::set_enabled(false);
 
     assert_eq!(snap.counters["fabric.des.messages"], 12);
@@ -280,14 +289,14 @@ fn des_counts_messages_and_hop_events() {
     // …but pinning the calendar explicitly reports its bucket-occupancy
     // telemetry for the injection burst.
     metrics::set_enabled(true);
-    metrics::global().reset();
+    global().reset();
     simulate_with(
         df.topology(),
         &DesConfig::default(),
         &batch,
         QueueKind::Calendar,
     );
-    let snap = metrics::global().snapshot();
+    let snap = global().snapshot();
     metrics::set_enabled(false);
     assert!(
         snap.histograms["fabric.des.calendar.bucket_occupancy"].count() > 0,
@@ -299,14 +308,14 @@ fn des_counts_messages_and_hop_events() {
 fn disabled_telemetry_records_nothing() {
     let _g = lock();
     metrics::set_enabled(false);
-    metrics::global().reset();
+    global().reset();
     let df = Dragonfly::build(DragonflyParams::scaled(4, 4, 2));
     let n = df.params().total_endpoints();
     let pairs = random_pairs(n, 5, 20);
     let r = Router::new(&df, RoutePolicy::adaptive_default());
     let flows = r.route_all(&pairs, 0, 5);
     solve_maxmin(df.topology(), &flows);
-    let snap = metrics::global().snapshot();
+    let snap = global().snapshot();
     assert!(snap.counters.is_empty(), "{:?}", snap.counters);
     assert!(snap.histograms.is_empty());
 }

@@ -50,7 +50,7 @@ fn routes_are_valid() {
             assert!(path.len() <= 5);
         }
         // No repeated links (loop freedom).
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for l in &path {
             assert!(seen.insert(*l), "loop through {l:?}");
         }

@@ -23,7 +23,6 @@
 
 pub mod bardpeak;
 pub mod dram;
-pub mod exec;
 pub mod gemm;
 pub mod hbm;
 pub mod mi250x;

@@ -27,7 +27,7 @@ pub fn analytic_mtti(inv: &Inventory, fits: &FitModel) -> MttiBreakdown {
         .iter()
         .map(|&c| (c, inv.class_rate(fits, c) / total))
         .collect();
-    shares.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("shares are finite"));
+    shares.sort_by(|a, b| b.1.total_cmp(&a.1));
     MttiBreakdown {
         mtti_hours: 1.0 / total,
         shares,

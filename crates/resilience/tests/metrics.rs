@@ -6,8 +6,17 @@
 //! serializing mutex (one lock per test keeps future additions safe).
 
 use frontier_resilience::prelude::*;
-use frontier_sim_core::metrics;
+use frontier_sim_core::metrics::{self, MetricsRegistry};
 use std::sync::{Mutex, MutexGuard};
+
+/// The process-global registry, which these tests check.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "this test binary checks what reaches the process-global registry"
+)]
+fn global() -> &'static MetricsRegistry {
+    metrics::global()
+}
 
 static GLOBAL_METRICS: Mutex<()> = Mutex::new(());
 
@@ -23,13 +32,13 @@ fn mc_mtti_tallies_are_deterministic_and_complete() {
     const TRIALS: u64 = 10_000; // spans multiple 4096-trial chunks
 
     metrics::set_enabled(true);
-    metrics::global().reset();
+    global().reset();
     let par = monte_carlo_mtti(&inv, &fits, TRIALS, 9);
-    let snap_par = metrics::global().snapshot();
+    let snap_par = global().snapshot();
 
-    metrics::global().reset();
+    global().reset();
     let ser = monte_carlo_mtti_serial(&inv, &fits, TRIALS, 9);
-    let snap_ser = metrics::global().snapshot();
+    let snap_ser = global().snapshot();
     metrics::set_enabled(false);
 
     // Estimate and telemetry both independent of the thread schedule.
@@ -65,7 +74,7 @@ fn mc_mtti_tallies_are_deterministic_and_complete() {
 fn disabled_telemetry_records_nothing() {
     let _g = lock();
     metrics::set_enabled(false);
-    metrics::global().reset();
+    global().reset();
     monte_carlo_mtti(&Inventory::frontier(), &FitModel::frontier(), 5_000, 3);
-    assert!(metrics::global().snapshot().counters.is_empty());
+    assert!(global().snapshot().counters.is_empty());
 }

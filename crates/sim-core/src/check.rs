@@ -105,7 +105,10 @@ pub fn cases(cases: u32, prop: impl Fn(&mut Gen)) {
                     "check: {rejected} cases rejected after {passed} passed"
                 );
             }
-            // simlint::allow(panic-in-lib): a failing property must fail its test, and this panic names the seed that replays it
+            #[expect(
+                clippy::panic,
+                reason = "a failing property must fail its test, and this panic names the seed that replays it"
+            )]
             Err(_) => panic!(
                 "check: case seed {seed} failed after {passed} passed; \
                  rerun it alone with `check::replay({seed}, ..)`"

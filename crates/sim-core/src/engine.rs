@@ -833,10 +833,13 @@ impl<E, Q: EventScheduler<E>> Simulator<E, Q> {
 
     /// Schedule an event `delay` after the current clock.
     pub fn schedule_in(&mut self, delay: SimTime, payload: E) {
+        #[expect(
+            clippy::expect_used,
+            reason = "clock overflow (~584 years at ns ticks) is unrepresentable state, not a recoverable error; a Result here would infect every schedule site"
+        )]
         let t = self
             .now
             .checked_add(delay)
-            // simlint::allow(panic-in-lib): clock overflow (~584 years at ns ticks) is unrepresentable state, not a recoverable error; a Result here would infect every schedule site
             .expect("simulation clock overflow");
         self.queue.push(t, payload);
     }

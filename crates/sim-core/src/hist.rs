@@ -1,9 +1,8 @@
-//! Linear and logarithmic histograms.
+//! Linear histograms.
 //!
 //! Fig. 6 of the paper is a histogram of per-NIC receive bandwidth over all
 //! mpiGraph transfer pairs; [`Histogram`] provides the linear-binned
-//! accumulation and rendering for it. [`LogHistogram`] covers latency-style
-//! data that spans orders of magnitude.
+//! accumulation and rendering for it.
 
 /// A fixed-range, linear-binned histogram over `f64` observations.
 ///
@@ -85,10 +84,13 @@ impl Histogram {
 
     /// The center of the most populated bin (the distribution's mode).
     pub fn mode(&self) -> f64 {
+        #[expect(
+            clippy::expect_used,
+            reason = "Histogram::new asserts nbins > 0, so bins() is never empty"
+        )]
         let (center, _) = self
             .bins()
             .max_by_key(|&(_, c)| c)
-            // simlint::allow(panic-in-lib): Histogram::new asserts nbins > 0, so bins() is never empty
             .expect("histogram has at least one bin");
         center
     }
@@ -130,67 +132,6 @@ impl Histogram {
             ));
         }
         out
-    }
-}
-
-/// A base-2 logarithmic histogram for values spanning orders of magnitude.
-#[derive(Debug, Clone)]
-pub struct LogHistogram {
-    /// Value represented by the left edge of bin 0.
-    base: f64,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    count: u64,
-}
-
-impl LogHistogram {
-    /// Bins cover `[base * 2^i, base * 2^(i+1))` for `i` in `0..nbins`.
-    pub fn new(base: f64, nbins: usize) -> Self {
-        assert!(base > 0.0);
-        assert!(nbins > 0);
-        LogHistogram {
-            base,
-            bins: vec![0; nbins],
-            underflow: 0,
-            overflow: 0,
-            count: 0,
-        }
-    }
-
-    pub fn record(&mut self, x: f64) {
-        debug_assert!(x.is_finite());
-        self.count += 1;
-        if x < self.base {
-            self.underflow += 1;
-            return;
-        }
-        let idx = (x / self.base).log2().floor() as usize;
-        if idx >= self.bins.len() {
-            self.overflow += 1;
-        } else {
-            self.bins[idx] += 1;
-        }
-    }
-
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// `(bin_lo, bin_hi, count)` triples.
-    pub fn bins(&self) -> impl Iterator<Item = (f64, f64, u64)> + '_ {
-        self.bins.iter().enumerate().map(move |(i, &c)| {
-            let lo = self.base * 2f64.powi(i as i32);
-            (lo, lo * 2.0, c)
-        })
-    }
-
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    pub fn overflow(&self) -> u64 {
-        self.overflow
     }
 }
 
@@ -261,22 +202,5 @@ mod tests {
         let s = h.render(10, "test");
         assert!(s.contains("test"));
         assert!(s.contains("##########")); // the full-height bar
-    }
-
-    #[test]
-    fn log_histogram_powers_of_two() {
-        let mut h = LogHistogram::new(1.0, 8);
-        h.record(1.0); // [1,2)
-        h.record(3.0); // [2,4)
-        h.record(100.0); // [64,128)
-        h.record(0.5); // underflow
-        h.record(1e9); // overflow
-        let bins: Vec<(f64, f64, u64)> = h.bins().collect();
-        assert_eq!(bins[0].2, 1);
-        assert_eq!(bins[1].2, 1);
-        assert_eq!(bins[6].2, 1);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.count(), 5);
     }
 }

@@ -3,7 +3,7 @@
 //! Substrate crate for the Frontier full-system simulator: a deterministic
 //! discrete-event simulation (DES) engine, reproducible per-component random
 //! number streams, a statistics toolkit (online moments, percentiles, linear
-//! and logarithmic histograms), and unit-safe quantity types for bytes,
+//! histograms), and unit-safe quantity types for bytes,
 //! bandwidth, time, and floating-point throughput.
 //!
 //! Everything in the higher-level crates (`frontier-node`, `frontier-fabric`,
@@ -46,7 +46,7 @@ pub mod units;
 /// Convenience re-exports of the most commonly used items.
 pub mod prelude {
     pub use crate::engine::{CalendarQueue, EventQueue, EventScheduler, Simulator};
-    pub use crate::hist::{Histogram, LogHistogram};
+    pub use crate::hist::Histogram;
     pub use crate::metrics::{self, MetricsRegistry, MetricsSnapshot, TimerScope};
     pub use crate::rng::StreamRng;
     pub use crate::stats::{percentile, OnlineStats, Summary};

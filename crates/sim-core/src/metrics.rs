@@ -64,6 +64,10 @@ use crate::json;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
+#[expect(
+    clippy::disallowed_types,
+    reason = "commutative metric updates: relaxed atomic adds and maxes commute, so snapshots do not depend on the thread schedule"
+)]
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
@@ -71,14 +75,21 @@ use std::time::{Duration, Instant};
 /// Every registry mutex funnels through here. A poisoned lock means a
 /// sibling thread panicked mid-update; the snapshot it guarded may be
 /// torn, and rendering torn telemetry would be worse than propagating.
+#[expect(
+    clippy::expect_used,
+    reason = "poisoned = a metric update already panicked; propagating beats emitting a torn snapshot"
+)]
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    // simlint::allow(panic-in-lib): poisoned = a metric update already panicked; propagating beats emitting a torn snapshot
     m.lock().expect("metrics lock poisoned")
 }
 
 /// Sentinel bit pattern for a never-observed max-gauge.
 const GAUGE_UNSET: f64 = f64::NEG_INFINITY;
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "commutative metric updates: relaxed atomic adds and maxes commute, so snapshots do not depend on the thread schedule"
+)]
 enum Metric {
     Counter(AtomicU64),
     /// Running maximum, stored as f64 bits. Initialized to
@@ -89,6 +100,10 @@ enum Metric {
     Wall(Mutex<Vec<u64>>),
 }
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "commutative metric updates: relaxed atomic adds and maxes commute, so snapshots do not depend on the thread schedule"
+)]
 struct HistMetric {
     lo: f64,
     hi: f64,
@@ -239,11 +254,19 @@ impl MetricsRegistry {
     }
 
     /// Monotonic counter handle for `name`, registering it on first use.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "commutative metric updates: relaxed atomic adds and maxes commute, so snapshots do not depend on the thread schedule"
+    )]
     pub fn counter(&self, name: &str) -> Counter {
         Counter(self.typed(name, "counter", || Metric::Counter(AtomicU64::new(0))))
     }
 
     /// Running-maximum gauge handle for `name`.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "commutative metric updates: relaxed atomic adds and maxes commute, so snapshots do not depend on the thread schedule"
+    )]
     pub fn max_gauge(&self, name: &str) -> MaxGauge {
         MaxGauge(self.typed(name, "max_gauge", || {
             Metric::MaxGauge(AtomicU64::new(GAUGE_UNSET.to_bits()))
@@ -253,6 +276,10 @@ impl MetricsRegistry {
     /// Linear histogram over `[lo, hi)` with `buckets` equal-width bins
     /// (out-of-range samples land in under/overflow). The shape is fixed
     /// by the first registration; later calls must agree.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "commutative metric updates: relaxed atomic adds and maxes commute, so snapshots do not depend on the thread schedule"
+    )]
     pub fn histogram(&self, name: &str, lo: f64, hi: f64, buckets: usize) -> Hist {
         assert!(buckets > 0 && hi > lo, "degenerate histogram shape");
         let m = self.typed(name, "histogram", || {
@@ -279,6 +306,10 @@ impl MetricsRegistry {
     }
 
     /// RAII timer: records into the `name` wall-clock series on drop.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the wall-clock timer: its samples go to the `wallclock` section, which determinism comparisons exclude"
+    )]
     pub fn timer(&self, name: impl Into<String>) -> TimerScope {
         TimerScope {
             wall: self.wallclock(&name.into()),
@@ -566,6 +597,10 @@ static GLOBAL: OnceLock<Arc<MetricsRegistry>> = OnceLock::new();
 /// once; zero means "everything off" and the thread-local scope stack is
 /// never even touched — preserving the one-relaxed-load-and-branch cost
 /// of disabled telemetry that makes instrumenting hot loops acceptable.
+#[expect(
+    clippy::disallowed_types,
+    reason = "a gate that publishes no data: it only decides whether `active()` looks for a registry"
+)]
 static ACTIVE_STATE: AtomicU64 = AtomicU64::new(0);
 
 const ENABLED_BIT: u64 = 1;
@@ -655,6 +690,10 @@ fn active_slow(state: u64) -> Option<Arc<MetricsRegistry>> {
 /// would make per-scope snapshots schedule-dependent; recording them
 /// globally keeps every scope's snapshot deterministic.
 #[inline]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the sanctioned path to the global registry for shared-resource telemetry whose scope attribution would be race-dependent"
+)]
 pub fn shared() -> Option<&'static MetricsRegistry> {
     if enabled() {
         Some(global())

@@ -23,6 +23,10 @@
 
 use std::cell::Cell;
 use std::panic::resume_unwind;
+#[expect(
+    clippy::disallowed_types,
+    reason = "the thread budget and busy count publish no data, hence relaxed atomics"
+)]
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::{Mutex, OnceLock, PoisonError};
 use std::thread;
@@ -30,6 +34,10 @@ use std::thread;
 use crate::metrics::Scope;
 
 /// The budget set by [`set_threads`]; 0 means the default.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the thread budget and busy count publish no data, hence relaxed atomics"
+)]
 static THREADS: AtomicUsize = AtomicUsize::new(0);
 
 /// The thread budget: the last [`set_threads`] value, else the host's
@@ -51,6 +59,10 @@ pub fn set_threads(n: usize) {
 /// Threads doing work: every thread that has made a parallel call, plus
 /// running helpers, less callers blocked on their helpers. A capacity
 /// count that publishes no data, hence `Relaxed`.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the thread budget and busy count publish no data, hence relaxed atomics"
+)]
 static BUSY: AtomicUsize = AtomicUsize::new(0);
 
 #[derive(Clone, Copy, PartialEq)]
@@ -135,6 +147,10 @@ fn result<T>(helper: thread::ScopedJoinHandle<'_, T>) -> T {
 
 /// Run `a` on this thread and `b` on a helper when one is free, else both
 /// here, `a` first.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one place threads are made; each helper re-installs the caller's metrics scope"
+)]
 pub fn join<RA, RB>(a: impl FnOnce() -> RA, b: impl FnOnce() -> RB + Send) -> (RA, RB)
 where
     RB: Send,
@@ -152,6 +168,11 @@ where
 
 /// `items` mapped through `f`, in parallel when helpers are free; the
 /// results are in item order.
+#[expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the one place threads are made; each helper re-installs the caller's metrics scope; the chunk cursor publishes no data (the mutexes do)"
+)]
 pub fn map<I, R>(items: I, f: impl Fn(I::Item) -> R + Sync) -> Vec<R>
 where
     I: IntoIterator,

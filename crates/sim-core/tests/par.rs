@@ -6,7 +6,11 @@
 //! process-wide: tests running concurrently would take each other's
 //! helpers and change each other's budget.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
+#[expect(
+    clippy::disallowed_types,
+    reason = "the test counts threads at work with atomics"
+)]
 use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 use std::sync::{Arc, Barrier, Mutex};
 use std::thread;
@@ -71,7 +75,7 @@ fn par_contract() {
     let reg = Arc::new(MetricsRegistry::new());
     {
         let _s = MetricsScope::enter_named("section:par", Arc::clone(&reg));
-        let labels = Mutex::new(HashSet::new());
+        let labels = Mutex::new(BTreeSet::new());
         par::for_each(0..256u64, |i| {
             labels.lock().unwrap().insert(metrics::scope_label());
             if let Some(m) = metrics::active() {
@@ -80,7 +84,7 @@ fn par_contract() {
             }
         });
         let labels = labels.into_inner().unwrap();
-        assert_eq!(labels, HashSet::from([Some("section:par".to_string())]));
+        assert_eq!(labels, BTreeSet::from([Some("section:par".to_string())]));
     }
     let s = reg.snapshot();
     assert_eq!(
@@ -91,6 +95,10 @@ fn par_contract() {
     // Nested calls never have more threads at work than the budget.
     for budget in [1, 2, 3] {
         par::set_threads(budget);
+        #[expect(
+            clippy::disallowed_types,
+            reason = "the test counts threads at work with atomics"
+        )]
         let (live, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
         let tracked = |i: u64| {
             let now = live.fetch_add(1, SeqCst) + 1;
@@ -115,6 +123,10 @@ fn par_contract() {
     // helper and every item runs on its caller.
     par::set_threads(3);
     let registered = Barrier::new(2);
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the test counts threads at work with atomics"
+    )]
     let ran_elsewhere = AtomicUsize::new(0);
     let caller = || {
         par::map(0..1u64, |i| i);
@@ -127,7 +139,10 @@ fn par_contract() {
         });
         registered.wait();
     };
-    // simlint::allow(raw-threads): the test plays a harness that makes its own threads
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "plays a caller that makes its own threads, which count against the budget"
+    )]
     thread::scope(|s| {
         s.spawn(caller);
         s.spawn(caller);

@@ -106,11 +106,13 @@ fn nested_scopes_attribute_to_the_innermost_frame_only() {
                 Some(hits)
             );
         }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "this test checks what reaches the process-global registry"
+        )]
+        let global = metrics::global().snapshot();
         assert!(
-            !metrics::global()
-                .snapshot()
-                .counters
-                .contains_key("scopetest.nested"),
+            !global.counters.contains_key("scopetest.nested"),
             "scoped updates must never reach the global registry"
         );
     });
