@@ -57,25 +57,9 @@ const QUICK_MIN_VARIANTS_PER_MIN: f64 = 2_000.0;
 const MAX_SCOPE_OVERHEAD: f64 = 1.05;
 
 /// The reference grid. Goes through the real TOML parser, so the bench
-/// also exercises the spec path end-to-end.
-const REFERENCE_GRID: &str = r#"
-name = "reference"
-seeds = [1, 2]
-workloads = ["mpigraph", "hpl", "mtti"]
-
-[machine]
-groups = [74]
-
-[sweep]
-link_rate_gbit = [150.0, 200.0, 250.0]
-protocol_efficiency = [0.65, 0.70]
-bundles_per_group_pair = [1, 2, 3]
-
-[overlay]
-fit_scale = [0.25, 0.5, 1.0, 2.0, 4.0, 8.0]
-nvme_per_node = [1, 2, 4]
-power_scale = [0.9, 1.0, 1.1]
-"#;
+/// also exercises the spec path end-to-end. CI pins the SHA-256 of its
+/// serial `campaign` JSONL (`reference.jsonl.sha256` next to the spec).
+const REFERENCE_GRID: &str = include_str!("../../tests/data/reference.toml");
 
 /// The CI grid: same axis structure, toy shape.
 const QUICK_GRID: &str = r#"

@@ -12,7 +12,8 @@
 //! 2. **routing** — mpiGraph pairs are drawn and routed once per track at
 //!    the track's first capacity point, with `RoutePolicy::Minimal`
 //!    (capacity-independent paths, so one routing is *exact* for every
-//!    capacity point).
+//!    capacity point). The pairs' measurement noise is drawn once per
+//!    track too.
 //! 3. **allocation** — the first capacity point is a cold
 //!    [`Solver::solve`]; every later point is a
 //!    [`Solver::resolve_with`] carrying the full capacity map of the
@@ -40,7 +41,7 @@ use frontier_bench::cache;
 use frontier_core::apps::hpl::{self, HplConfig};
 use frontier_core::fabric::dragonfly::DragonflyParams;
 use frontier_core::fabric::gpcnet::{self, GpcnetConfig};
-use frontier_core::fabric::mpigraph::MpiGraphResult;
+use frontier_core::fabric::mpigraph::MeasurementNoise;
 use frontier_core::fabric::patterns::mpigraph_pairs;
 use frontier_core::fabric::routing::{RoutePolicy, Router};
 use frontier_core::fabric::solver::{ResolveDelta, Solver};
@@ -277,6 +278,9 @@ fn run_track(
     } else {
         Vec::new()
     };
+    // The measurement noise depends only on the pair count and the seed,
+    // so one draw serves every capacity point.
+    let noise = MeasurementNoise::draw(flows.len(), track.seed);
     let mut solver = want_mpi.then(|| Solver::new(df.topology(), flows));
 
     let nodes = track.shape.total_nodes();
@@ -306,7 +310,7 @@ fn run_track(
                 ))
             };
             let rates: Vec<f64> = alloc.rates.iter().map(|&r| r / 1e9).collect();
-            let result = MpiGraphResult::from_solved_rates(rates, track.seed);
+            let result = noise.apply(rates);
             MpiStats {
                 min_gb_s: result.summary.min,
                 mean_gb_s: result.summary.mean,

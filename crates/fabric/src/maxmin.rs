@@ -154,9 +154,8 @@ where
 /// (`fabric.link.<level>.{observed,saturated}`). Every update is
 /// order-independent — counter adds and bucket increments — so snapshots
 /// cannot depend on how concurrent solves interleave (see the determinism
-/// contract in `frontier_sim_core::metrics`). `off` holds the CSR offsets
-/// of the flows crossing each link, one per link plus one; a link is used
-/// when its range is non-empty.
+/// contract in `frontier_sim_core::metrics`). `used` marks the links some
+/// flow crosses.
 #[expect(
     clippy::too_many_arguments,
     reason = "one solve's outputs from its single call site; a struct would be built only to be unpacked here"
@@ -168,7 +167,7 @@ pub(crate) fn publish_solve_metrics(
     nf: usize,
     frozen_demand: u64,
     frozen_saturation: u64,
-    off: &[u32],
+    used: &[bool],
     caps: &[f64],
     avail: &[f64],
 ) {
@@ -187,7 +186,7 @@ pub(crate) fn publish_solve_metrics(
     for l in 0..caps.len() {
         // Only links some flow actually crossed: idle links would swamp
         // the distribution with zeros.
-        if off[l + 1] == off[l] || caps[l] <= 0.0 {
+        if !used[l] || caps[l] <= 0.0 {
             continue;
         }
         let util = ((caps[l] - avail[l]) / caps[l]).clamp(0.0, 1.0);

@@ -31,27 +31,12 @@ pub struct MpiGraphResult {
 }
 
 impl MpiGraphResult {
-    /// Package already-solved per-pair rates (GB/s) into a result,
-    /// applying the same deterministic measurement noise as
-    /// [`run_with_flows`]. This is the campaign engine's warm-start exit:
-    /// a `Solver::resolve_with` re-solve hands its rates here and gets a
-    /// result bit-identical to a cold [`run_with_flows`] at the same
-    /// capacities and seed.
+    /// Package already-solved per-pair rates (GB/s) into a result with
+    /// the run's measurement noise: [`MeasurementNoise::draw`] for
+    /// `rates.len()` pairs at `seed`, then [`MeasurementNoise::apply`].
+    /// Every mpiGraph run packages its rates this way.
     pub fn from_solved_rates(rates: Vec<f64>, seed: u64) -> Self {
-        Self::from_rates(rates, seed)
-    }
-
-    fn from_rates(mut rates: Vec<f64>, seed: u64) -> Self {
-        // Apply measurement noise deterministically.
-        let mut rng = StreamRng::for_component(seed, "mpigraph-noise", 0);
-        for r in &mut rates {
-            *r *= rng.log_normal(1.0, MEASUREMENT_SIGMA);
-        }
-        let summary = Summary::of(&rates);
-        MpiGraphResult {
-            rates_gb_s: rates,
-            summary,
-        }
+        MeasurementNoise::draw(rates.len(), seed).apply(rates)
     }
 
     /// Histogram over `[0, hi)` GB/s with `bins` bins.
@@ -68,13 +53,49 @@ impl MpiGraphResult {
     }
 }
 
+/// The measurement noise of an mpiGraph run over `n` pairs: one
+/// log-normal multiplier per pair, a pure function of `(n, seed)`. A caller
+/// that packages many solves of one flow set at one seed (the campaign
+/// engine's capacity steps) draws it once and applies it to each.
+#[derive(Debug, Clone)]
+pub struct MeasurementNoise {
+    factors: Vec<f64>,
+}
+
+impl MeasurementNoise {
+    /// Draw the multipliers of `n` pairs from `seed`'s noise stream.
+    pub fn draw(n: usize, seed: u64) -> Self {
+        let mut rng = StreamRng::for_component(seed, "mpigraph-noise", 0);
+        MeasurementNoise {
+            factors: (0..n)
+                .map(|_| rng.log_normal(1.0, MEASUREMENT_SIGMA))
+                .collect(),
+        }
+    }
+
+    /// Package solved per-pair rates (GB/s): multiply each by its pair's
+    /// factor and summarize. The cold and warm solver exits share it, so a
+    /// warm re-solve's result is bit-identical to a cold one's.
+    pub fn apply(&self, mut rates: Vec<f64>) -> MpiGraphResult {
+        assert_eq!(rates.len(), self.factors.len(), "one rate per noisy pair");
+        for (r, f) in rates.iter_mut().zip(&self.factors) {
+            *r *= f;
+        }
+        let summary = Summary::of(&rates);
+        MpiGraphResult {
+            rates_gb_s: rates,
+            summary,
+        }
+    }
+}
+
 /// Solve a pre-routed mpiGraph flow set: one max-min solve plus the
 /// measurement-noise packaging. Callers that already hold routed flows
 /// (ablation sweeps, benches) reuse them here instead of re-routing.
 pub fn run_with_flows(topo: &Topology, flows: &[Flow], seed: u64) -> MpiGraphResult {
     let alloc = solve_maxmin(topo, flows);
     let rates: Vec<f64> = alloc.rates.iter().map(|&r| r / 1e9).collect();
-    MpiGraphResult::from_rates(rates, seed)
+    MpiGraphResult::from_solved_rates(rates, seed)
 }
 
 /// Run mpiGraph over a dragonfly with the given routing policy. Routing
@@ -151,7 +172,7 @@ fn des_result(n_flows: usize, deliveries: &[Delivery], seed: u64) -> MpiGraphRes
     }
     let sent = DES_WINDOW as f64 * DES_MESSAGE.as_f64();
     let rates: Vec<f64> = last.iter().map(|&t| sent / t.as_secs_f64() / 1e9).collect();
-    MpiGraphResult::from_rates(rates, seed)
+    MpiGraphResult::from_solved_rates(rates, seed)
 }
 
 /// Per-message mpiGraph over a dragonfly: same pair generation and
@@ -315,6 +336,58 @@ mod tests {
             d.summary.min,
             d.summary.max
         );
+    }
+
+    /// One noise draw applied to two rate vectors gives, bit for bit, what
+    /// drawing one multiplier per rate inline gives for each: the rates and
+    /// every `Summary` field. With no pairs both panic in `Summary::of`.
+    #[test]
+    fn held_noise_matches_per_call_draws_bitwise() {
+        use frontier_sim_core::check;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        fn inline(mut rates: Vec<f64>, seed: u64) -> MpiGraphResult {
+            let mut rng = StreamRng::for_component(seed, "mpigraph-noise", 0);
+            for r in &mut rates {
+                *r *= rng.log_normal(1.0, MEASUREMENT_SIGMA);
+            }
+            let summary = Summary::of(&rates);
+            MpiGraphResult {
+                rates_gb_s: rates,
+                summary,
+            }
+        }
+        fn bits(r: &MpiGraphResult) -> (Vec<u64>, [u64; 7]) {
+            let s = &r.summary;
+            let summary = [
+                s.count as f64,
+                s.mean,
+                s.std_dev,
+                s.min,
+                s.p50,
+                s.p99,
+                s.max,
+            ];
+            let rates = r.rates_gb_s.iter().map(|x| x.to_bits()).collect();
+            (rates, summary.map(f64::to_bits))
+        }
+        check::cases(32, |g| {
+            let n = if g.range(0..8u32) == 0 {
+                0
+            } else {
+                g.range(1..3000usize)
+            };
+            let seed = g.range(0..u64::MAX);
+            let noise = MeasurementNoise::draw(n, seed);
+            for _ in 0..2 {
+                let rates: Vec<f64> = (0..n).map(|_| g.range(0.0..20.0)).collect();
+                let held = catch_unwind(AssertUnwindSafe(|| bits(&noise.apply(rates.clone()))));
+                let want = catch_unwind(|| bits(&inline(rates, seed)));
+                match (held, want) {
+                    (Ok(held), Ok(want)) => assert_eq!(held, want),
+                    (held, want) => assert!(n == 0 && held.is_err() && want.is_err()),
+                }
+            }
+        });
     }
 
     #[test]

@@ -11,19 +11,22 @@
 //!   `demand / weight` at which it caps out. Both are *events*.
 //! * A *private* link has one path entry, so one flow: it only caps that
 //!   flow, at the static level `cap / weight`. Each flow gets one event
-//!   for its lowest private link under the queue's `(level, link)` key;
-//!   its other private links could only pop after that one has frozen the
-//!   flow, so they need no event. A popped private event whose flow is
-//!   already frozen is skipped; otherwise it freezes the flow under the
-//!   shared links' saturation test with `avail = cap` and
-//!   `link_weight = weight`. Private links keep no per-link state. In the
+//!   for its lowest private link under the queue's `(level, link id)` key,
+//!   found by walking the flow's private hops; its other private links
+//!   could only pop after that one has frozen the flow, so they need no
+//!   event. A popped private event whose flow is already frozen is
+//!   skipped; otherwise it freezes the flow under the shared links'
+//!   saturation test with `avail = cap` and `link_weight = weight`.
+//!   Private links keep no per-link state. In the
 //!   full-scale Fig. 6 flow set 102,084 of the 133,345 used links (76.6%)
 //!   are private, and they hold 45.8% of the 223,037 hop entries.
 //! * Demand events are a sorted array walked by a cursor (demands never
 //!   change mid-solve). Link events live in an [`EventQueue`]: the initial
-//!   events (one per shared link, one per flow with a private link) are
-//!   sorted once and walked by a cursor too, and only re-keyed events go
-//!   through a (small) binary heap. The solver jumps the global water
+//!   shared events (one per shared link) and the private events (one per
+//!   flow with a private link) are each sorted once and walked by a cursor
+//!   too, and only re-keyed events go through a (small) binary heap. The
+//!   queue pops them in one `(level, link id, stamp)` order. The solver
+//!   jumps the global water
 //!   level from event to event instead of re-deriving the minimum each
 //!   round.
 //! * Freezing a flow changes the saturation level of only the shared links
@@ -47,15 +50,18 @@
 //! capacity), so each component solves independently — concurrently through
 //! [`par`] when the workload is large — which is what finally gives the
 //! Fig. 6 mega-solve a real `--jobs` speedup when the workload splits.
-//! The decomposition also hands each component its ascending link list,
-//! the flows crossing each link by position in the component, and each
-//! flow's shared hops by position in the link list (a CSR), so every hop
-//! reaches its local state in O(1). Building it costs O(Σ|path| + L).
-//! A component solve with `L` links, `F` flows, `S` shared hop entries
-//! and `E` initial events (shared links plus flows) costs
-//! O(L + S + E log E + rekeys · log rekeys): each flow's shared hops are
-//! walked once when its weights are summed and once when it freezes, and
-//! its private hops not at all. The round solvers cost O(rounds × links).
+//! The decomposition also hands each component its ascending list of
+//! shared links, the flows crossing each shared link by position in the
+//! component, each flow's shared hops by position in that list, and each
+//! flow's private hops by link id (two CSRs), so every hop reaches its
+//! local state in O(1). Building it costs O(Σ|path| + L). A component
+//! solve keeps per-link state for its shared links only: with `L_s`
+//! shared links, `F` flows, `S` shared and `P` private hop entries and
+//! `E` initial events (shared links plus flows) it holds O(L_s + F) state
+//! and costs O(L_s + S + P + E log E + rekeys · log rekeys): each flow's
+//! shared hops are walked once when its weights are summed and once when
+//! it freezes, and its private hops once, to find its lowest. The round
+//! solvers cost O(rounds × links).
 //!
 //! [`Solver`] adds **warm-start re-solves** on top: it caches the per-flow
 //! rates of the last solve, and [`Solver::resolve_with`] re-solves only
@@ -88,7 +94,9 @@ use std::collections::BinaryHeap;
 /// operations.
 pub const COMPONENT_PAR_THRESHOLD: usize = 4096;
 
-/// One-time CSR index of the flows crossing each link.
+/// One-time CSR index of the flows crossing each *shared* link (a link
+/// with more than one path entry). A private link's range is empty: its
+/// one flow lists it among its private hops instead.
 pub(crate) struct FlowIndex {
     /// CSR offsets, one per link plus one.
     pub off: Vec<u32>,
@@ -99,60 +107,83 @@ pub(crate) struct FlowIndex {
 }
 
 impl FlowIndex {
-    /// Path entries on link `l`.
-    fn deg(&self, l: usize) -> u32 {
-        self.off[l + 1] - self.off[l]
+    /// Whether link `l` is shared.
+    fn is_shared(&self, l: usize) -> bool {
+        self.off[l + 1] > self.off[l]
     }
 }
 
 fn build_index(nl: usize, paths: &[&[LinkId]]) -> FlowIndex {
+    // Count the path entries of each link, then keep only the counts of
+    // shared links in the running offsets.
     let mut off = vec![0u32; nl + 1];
     for p in paths {
         for l in *p {
             off[l.0 as usize + 1] += 1;
         }
     }
-    for l in 0..nl {
-        off[l + 1] += off[l];
+    let mut total = 0;
+    for o in &mut off[1..] {
+        if *o > 1 {
+            total += *o;
+        }
+        *o = total;
     }
-    let mut cursor: Vec<u32> = off[..nl].to_vec();
-    let mut link_flows = vec![0u32; off[nl] as usize];
+    let mut idx = FlowIndex {
+        link_flows: vec![0u32; total as usize],
+        off,
+    };
+    let mut cursor: Vec<u32> = idx.off[..nl].to_vec();
     for (fi, p) in paths.iter().enumerate() {
         for l in *p {
             let li = l.0 as usize;
-            link_flows[cursor[li] as usize] = fi as u32;
-            cursor[li] += 1;
+            if idx.is_shared(li) {
+                idx.link_flows[cursor[li] as usize] = fi as u32;
+                cursor[li] += 1;
+            }
         }
     }
-    FlowIndex { off, link_flows }
+    idx
 }
 
 /// Interference components, the flow index they were derived from and
-/// each flow's shared hops. A flow or link belongs to at most one
-/// component, so these are shared read-only by the concurrent component
-/// solves. All of it depends only on the paths, so it stays valid across
-/// capacity changes.
+/// each flow's hops, split into shared and private. A flow or link belongs
+/// to at most one component, so these are shared read-only by the
+/// concurrent component solves. All of it depends only on the paths, so it
+/// stays valid across capacity changes.
 pub(crate) struct Components {
-    /// The flows crossing each link, by position in their component.
+    /// The flows crossing each shared link, by position in their component.
     pub idx: FlowIndex,
     /// Member flow ids of each component, ascending; the components are
     /// ordered by their smallest member.
     pub members: Vec<Vec<u32>>,
-    /// The links each component's members cross, ascending.
-    pub links: Vec<Vec<u32>>,
+    /// The shared links each component's members cross, ascending. A
+    /// component solve keeps per-link state for these only.
+    pub shared_links: Vec<Vec<u32>>,
     /// CSR offsets into `shared`, one per flow plus one.
     pub shared_off: Vec<u32>,
-    /// Each flow's shared hops (links with more than one path entry), in
-    /// path order, as positions in its component's `links`. A flow's other
-    /// links are private to it and appear only in `links`.
+    /// Each flow's shared hops, in path order, as positions in its
+    /// component's `shared_links`.
     pub shared: Vec<u32>,
+    /// CSR offsets into `private`, one per flow plus one.
+    pub private_off: Vec<u32>,
+    /// Each flow's private hops (links it alone crosses), in path order,
+    /// as link ids.
+    pub private: Vec<u32>,
 }
 
 impl Components {
-    /// The shared hops of flow `fi`, as component-local link positions.
+    /// The shared hops of flow `fi`, as positions in its component's
+    /// `shared_links`.
     fn shared_hops(&self, fi: u32) -> &[u32] {
         let fi = fi as usize;
         &self.shared[self.shared_off[fi] as usize..self.shared_off[fi + 1] as usize]
+    }
+
+    /// The private hops of flow `fi`, as link ids.
+    fn private_hops(&self, fi: u32) -> &[u32] {
+        let fi = fi as usize;
+        &self.private[self.private_off[fi] as usize..self.private_off[fi + 1] as usize]
     }
 }
 
@@ -187,31 +218,37 @@ pub(crate) fn find_components(nl: usize, paths: &[&[LinkId]]) -> Components {
         flow_local[fi as usize] = comp.len() as u32;
         comp.push(fi);
     }
-    // Walking the links in order leaves every link list ascending; a link
-    // joins the component of the first flow crossing it.
-    let mut links: Vec<Vec<u32>> = vec![Vec::new(); members.len()];
+    // Walking the links in order leaves every shared-link list ascending;
+    // a link joins the component of the first flow crossing it.
+    let mut shared_links: Vec<Vec<u32>> = vec![Vec::new(); members.len()];
     let mut link_local = vec![u32::MAX; nl];
     for (l, local) in link_local.iter_mut().enumerate() {
-        if idx.deg(l) == 0 {
+        if !idx.is_shared(l) {
             continue;
         }
         let root = uf.find(idx.link_flows[idx.off[l] as usize]) as usize;
-        let comp = &mut links[comp_of_root[root] as usize];
+        let comp = &mut shared_links[comp_of_root[root] as usize];
         *local = comp.len() as u32;
         comp.push(l as u32);
     }
-    let nshared: u32 = (0..nl).map(|l| idx.deg(l)).filter(|&d| d > 1).sum();
-    let mut shared = Vec::with_capacity(nshared as usize);
+    let nhops: usize = paths.iter().map(|p| p.len()).sum();
+    let mut shared = Vec::with_capacity(idx.link_flows.len());
+    let mut private = Vec::with_capacity(nhops - idx.link_flows.len());
     let mut shared_off = Vec::with_capacity(nf + 1);
+    let mut private_off = Vec::with_capacity(nf + 1);
     shared_off.push(0);
+    private_off.push(0);
     for p in paths {
         for l in *p {
             let li = l.0 as usize;
-            if idx.deg(li) > 1 {
+            if idx.is_shared(li) {
                 shared.push(link_local[li]);
+            } else {
+                private.push(l.0);
             }
         }
         shared_off.push(shared.len() as u32);
+        private_off.push(private.len() as u32);
     }
     for fi in &mut idx.link_flows {
         *fi = flow_local[*fi as usize];
@@ -219,15 +256,18 @@ pub(crate) fn find_components(nl: usize, paths: &[&[LinkId]]) -> Components {
     Components {
         idx,
         members,
-        links,
+        shared_links,
         shared_off,
         shared,
+        private_off,
+        private,
     }
 }
 
-/// A link saturation event: "link `link` saturates when the water level
-/// reaches `level`" — valid only while the link's stamp still equals
-/// `stamp` (lazy invalidation).
+/// A shared link's saturation event: "the link at position `link` in the
+/// component's `shared_links` saturates when the water level reaches
+/// `level`" — valid only while the link's stamp still equals `stamp` (lazy
+/// invalidation).
 #[derive(Clone, Copy)]
 struct LinkEvent {
     level: f64,
@@ -238,7 +278,8 @@ struct LinkEvent {
 impl Ord for LinkEvent {
     fn cmp(&self, other: &Self) -> Ordering {
         // total_cmp: levels are finite non-negative here, and the
-        // link-id tie-break keeps pop order deterministic.
+        // link tie-break (positions order like link ids) keeps pop order
+        // deterministic.
         self.level
             .total_cmp(&other.level)
             .then_with(|| self.link.cmp(&other.link))
@@ -257,30 +298,57 @@ impl PartialEq for LinkEvent {
 }
 impl Eq for LinkEvent {}
 
-/// The pending link events of one component solve, in [`LinkEvent`]
-/// order. The initial events (one per link, stamp 0) are sorted once and
-/// walked by a cursor; only re-keyed events (stamp ≥ 1) go through a
-/// binary heap, which stays small because few links are ever re-keyed.
-/// Every entry is distinct under `Ord`, so the pop order is exactly that
-/// of one heap over all of them.
-struct EventQueue {
+/// A flow's private-link event: "flow `flow` (component-local) is capped
+/// at `level` by link `link`", the lowest of its private links under the
+/// `(level, link id)` key. Static: nothing but its flow touches the link.
+#[derive(Clone, Copy)]
+struct PrivateEvent {
+    level: f64,
+    link: u32,
+    flow: u32,
+}
+
+/// The next pending event of a component solve.
+#[derive(Clone, Copy)]
+enum Event {
+    Shared(LinkEvent),
+    Private(PrivateEvent),
+}
+
+/// The pending events of one component solve, in `(level, link id,
+/// stamp)` order over shared and private links alike. The initial shared
+/// events (one per shared link, stamp 0) and the private events are each
+/// sorted once and walked by a cursor; only re-keyed shared events
+/// (stamp ≥ 1) go through a binary heap, which stays small because few
+/// links are ever re-keyed. Every entry is distinct under that order, so
+/// the pop order is exactly that of one heap over all of them.
+struct EventQueue<'a> {
+    /// The component's shared links, ascending: a shared event's position
+    /// here gives its link id, for ties with private events.
+    links: &'a [u32],
     initial: Vec<LinkEvent>,
     cursor: usize,
     rekeyed: BinaryHeap<Reverse<LinkEvent>>,
+    private: Vec<PrivateEvent>,
+    pcursor: usize,
 }
 
-impl EventQueue {
-    fn new(mut initial: Vec<LinkEvent>) -> Self {
+impl<'a> EventQueue<'a> {
+    fn new(links: &'a [u32], mut initial: Vec<LinkEvent>, mut private: Vec<PrivateEvent>) -> Self {
         initial.sort_unstable();
+        private.sort_unstable_by(|a, b| a.level.total_cmp(&b.level).then(a.link.cmp(&b.link)));
         EventQueue {
+            links,
             initial,
             cursor: 0,
             rekeyed: BinaryHeap::new(),
+            private,
+            pcursor: 0,
         }
     }
 
-    /// The smallest pending event.
-    fn peek(&self) -> Option<LinkEvent> {
+    /// The smallest pending shared event.
+    fn peek_shared(&self) -> Option<LinkEvent> {
         let rekeyed = self.rekeyed.peek().map(|r| r.0);
         match (self.initial.get(self.cursor).copied(), rekeyed) {
             (Some(a), Some(b)) => Some(a.min(b)),
@@ -288,15 +356,38 @@ impl EventQueue {
         }
     }
 
-    fn pop(&mut self) -> Option<LinkEvent> {
-        match (self.initial.get(self.cursor), self.rekeyed.peek()) {
-            (Some(a), Some(Reverse(b))) if b < a => self.rekeyed.pop().map(|r| r.0),
-            (Some(&a), _) => {
-                self.cursor += 1;
-                Some(a)
+    /// The smallest pending event.
+    fn peek(&self) -> Option<Event> {
+        match (self.private.get(self.pcursor), self.peek_shared()) {
+            (Some(&p), Some(s)) => {
+                let first = p
+                    .level
+                    .total_cmp(&s.level)
+                    .then(p.link.cmp(&self.links[s.link as usize]));
+                Some(if first.is_lt() {
+                    Event::Private(p)
+                } else {
+                    Event::Shared(s)
+                })
             }
-            (None, _) => self.rekeyed.pop().map(|r| r.0),
+            (Some(&p), None) => Some(Event::Private(p)),
+            (None, s) => s.map(Event::Shared),
         }
+    }
+
+    fn pop(&mut self) -> Option<Event> {
+        let ev = self.peek();
+        match ev {
+            Some(Event::Private(_)) => self.pcursor += 1,
+            Some(Event::Shared(s)) => match self.initial.get(self.cursor) {
+                Some(&a) if a == s => self.cursor += 1,
+                _ => {
+                    self.rekeyed.pop();
+                }
+            },
+            None => {}
+        }
+        ev
     }
 
     fn push(&mut self, ev: LinkEvent) {
@@ -357,11 +448,11 @@ fn freeze_flow(
 
 /// Solve interference component `c` with the bottleneck-event engine.
 ///
-/// All mutable state is local to the component's link list, so disjoint
-/// components can run concurrently.
+/// All mutable state is local to the component's shared links and
+/// members, so disjoint components can run concurrently.
 fn solve_component(sh: &Shared, c: usize) -> CompResult {
     let comp = &sh.comps.members[c];
-    let links = &sh.comps.links[c];
+    let links = &sh.comps.shared_links[c];
     let idx = &sh.comps.idx;
     let nll = links.len();
     let ncf = comp.len();
@@ -398,28 +489,29 @@ fn solve_component(sh: &Shared, c: usize) -> CompResult {
     // A private link carries one flow, so its level `cap / weight` is as
     // static as a demand. Of each flow's private links only the lowest
     // under the queue's key can bind: it pops first, and the flow is
-    // frozen before any other of them comes up. `owner` marks that one
-    // event with its flow.
-    let mut lowest = vec![u32::MAX; ncf];
-    for (li, &gl) in links.iter().enumerate() {
-        let gl = gl as usize;
-        if idx.deg(gl) != 1 {
+    // frozen before any other of them comes up.
+    let mut private = Vec::with_capacity(ncf);
+    for (ci, &fi) in comp.iter().enumerate() {
+        let w = sh.weights[fi as usize];
+        if w <= REL_EPS {
             continue;
         }
-        let ci = idx.link_flows[idx.off[gl] as usize] as usize;
-        let w = sh.weights[comp[ci] as usize];
-        // Links come in ascending order, so a tie keeps the lower one.
-        let low = lowest[ci];
-        let lower = low == u32::MAX
-            || (ccaps[li] / w)
-                .total_cmp(&(ccaps[low as usize] / w))
-                .is_lt();
-        if w > REL_EPS && lower {
-            lowest[ci] = li as u32;
+        let mut lowest: Option<PrivateEvent> = None;
+        for &l in sh.comps.private_hops(fi) {
+            let level = sh.caps[l as usize] / w;
+            let lower =
+                lowest.is_none_or(|low| level.total_cmp(&low.level).then(l.cmp(&low.link)).is_lt());
+            if lower {
+                lowest = Some(PrivateEvent {
+                    level,
+                    link: l,
+                    flow: ci as u32,
+                });
+            }
         }
+        private.extend(lowest);
     }
-    let mut owner = vec![u32::MAX; nll];
-    let mut initial: Vec<LinkEvent> = (0..nll)
+    let initial: Vec<LinkEvent> = (0..nll)
         .filter(|&li| lweight[li] > REL_EPS)
         .map(|li| LinkEvent {
             level: avail[li] / lweight[li],
@@ -427,17 +519,7 @@ fn solve_component(sh: &Shared, c: usize) -> CompResult {
             stamp: 0,
         })
         .collect();
-    for (ci, &li) in lowest.iter().enumerate() {
-        if li != u32::MAX {
-            owner[li as usize] = ci as u32;
-            initial.push(LinkEvent {
-                level: ccaps[li as usize] / sh.weights[comp[ci] as usize],
-                link: li,
-                stamp: 0,
-            });
-        }
-    }
-    let mut queue = EventQueue::new(initial);
+    let mut queue = EventQueue::new(links, initial, private);
 
     let mut level = 0.0f64;
     let mut freezes = 0usize;
@@ -464,16 +546,14 @@ fn solve_component(sh: &Shared, c: usize) -> CompResult {
         let link_level = loop {
             match queue.peek() {
                 None => break f64::INFINITY,
-                Some(ev) => {
-                    let li = ev.link as usize;
-                    let ci = owner[li] as usize;
-                    if ci != u32::MAX as usize {
-                        if active[ci] {
-                            break ev.level;
-                        }
-                        queue.pop();
-                        continue;
+                Some(Event::Private(p)) => {
+                    if active[p.flow as usize] {
+                        break p.level;
                     }
+                    queue.pop();
+                }
+                Some(Event::Shared(ev)) => {
+                    let li = ev.link as usize;
                     if done[li] {
                         queue.pop();
                         continue;
@@ -529,35 +609,39 @@ fn solve_component(sh: &Shared, c: usize) -> CompResult {
                 );
             }
         }
-        while let Some(ev) = queue.peek() {
-            let li = ev.link as usize;
-            let ci = owner[li] as usize;
-            if ci != u32::MAX as usize {
-                // A private event: the shared links' saturation test with
-                // `avail = cap` and `link_weight = w` freezes its one flow.
-                if active[ci] {
-                    let w = sh.weights[comp[ci] as usize];
-                    let saturated = ccaps[li] - level * w <= ccaps[li] * REL_EPS;
-                    if !saturated {
-                        break; // fresh minimum above the level: batch complete
+        while let Some(next) = queue.peek() {
+            let ev = match next {
+                Event::Private(p) => {
+                    // The shared links' saturation test with `avail = cap`
+                    // and `link_weight = w` freezes its one flow.
+                    let ci = p.flow as usize;
+                    if active[ci] {
+                        let cap = sh.caps[p.link as usize];
+                        let w = sh.weights[comp[ci] as usize];
+                        let saturated = cap - level * w <= cap * REL_EPS;
+                        if !saturated {
+                            break; // fresh minimum above the level: batch complete
+                        }
+                        n_active -= 1;
+                        frozen_saturation += 1;
+                        freeze_flow(
+                            ci,
+                            level,
+                            comp,
+                            sh,
+                            &mut active,
+                            &mut rates,
+                            &mut avail,
+                            &mut lweight,
+                            &mut stamps,
+                        );
                     }
-                    n_active -= 1;
-                    frozen_saturation += 1;
-                    freeze_flow(
-                        ci,
-                        level,
-                        comp,
-                        sh,
-                        &mut active,
-                        &mut rates,
-                        &mut avail,
-                        &mut lweight,
-                        &mut stamps,
-                    );
+                    queue.pop();
+                    continue;
                 }
-                queue.pop();
-                continue;
-            }
+                Event::Shared(ev) => ev,
+            };
+            let li = ev.link as usize;
             let stale = ev.stamp != stamps[li];
             if done[li] {
                 queue.pop();
@@ -657,7 +741,6 @@ fn publish_v3_metrics(
     paths: &[&[LinkId]],
     rates: &[f64],
     caps: &[f64],
-    off: &[u32],
     solved_flows: usize,
     freezes: usize,
     components: usize,
@@ -665,9 +748,11 @@ fn publish_v3_metrics(
     frozen_saturation: u64,
 ) {
     let mut avail = caps.to_vec();
+    let mut used = vec![false; caps.len()];
     for (p, &r) in paths.iter().zip(rates) {
         for l in *p {
             avail[l.0 as usize] -= r;
+            used[l.0 as usize] = true;
         }
     }
     publish_solve_metrics(
@@ -677,7 +762,7 @@ fn publish_v3_metrics(
         solved_flows,
         frozen_demand,
         frozen_saturation,
-        off,
+        &used,
         caps,
         &avail,
     );
@@ -698,7 +783,6 @@ fn solve_cold(topo: &Topology, sh: &Shared) -> Allocation {
             sh.paths,
             &rates,
             sh.caps,
-            &sh.comps.idx.off,
             sh.paths.len(),
             freezes,
             ncomp,
@@ -929,8 +1013,15 @@ impl<'a> Solver<'a> {
         let mut rates = vec![0.0f64; self.flows.len()];
         let mut reused = 0usize;
         let mut to_solve: Vec<usize> = Vec::new();
-        for (c, (comp, links)) in comps.members.iter().zip(&comps.links).enumerate() {
-            if links.iter().any(|&l| dirty[l as usize]) {
+        for (c, (comp, links)) in comps.members.iter().zip(&comps.shared_links).enumerate() {
+            // A component's links are its shared links plus its members'
+            // private hops.
+            let is_dirty = |&l: &u32| dirty[l as usize];
+            if links.iter().any(is_dirty)
+                || comp
+                    .iter()
+                    .any(|&fi| comps.private_hops(fi).iter().any(is_dirty))
+            {
                 to_solve.push(c);
             } else {
                 for &fi in comp {
@@ -955,7 +1046,6 @@ impl<'a> Solver<'a> {
                 &paths,
                 &rates,
                 &self.caps,
-                &comps.idx.off,
                 resolved_flows,
                 freezes,
                 to_solve.len(),
@@ -1021,16 +1111,23 @@ mod tests {
         (t, flows)
     }
 
-    /// Every component's link list, the flows crossing each link and each
-    /// flow's shared hops agree with the member paths they were derived
-    /// from.
+    /// Every path entry lands in exactly one of its flow's shared or
+    /// private hop lists, in path order; each component's shared links are
+    /// ascending; and the flow index inverts the shared hops.
     fn assert_decomposition(paths: &[&[LinkId]], nl: usize) {
         let comps = find_components(nl, paths);
-        assert_eq!(comps.members.len(), comps.links.len());
+        assert_eq!(comps.members.len(), comps.shared_links.len());
         assert_eq!(comps.shared_off.len(), paths.len() + 1);
+        assert_eq!(comps.private_off.len(), paths.len() + 1);
+        let mut entries = vec![0u32; nl];
+        for p in paths {
+            for l in *p {
+                entries[l.0 as usize] += 1;
+            }
+        }
         let mut seen = vec![0u32; paths.len()];
-        let mut listed = vec![false; nl];
-        for (c, (members, links)) in comps.members.iter().zip(&comps.links).enumerate() {
+        let mut listed = vec![0u32; nl];
+        for (c, (members, links)) in comps.members.iter().zip(&comps.shared_links).enumerate() {
             assert!(members.windows(2).all(|w| w[0] < w[1]));
             if c > 0 {
                 assert!(
@@ -1038,32 +1135,33 @@ mod tests {
                     "components out of order"
                 );
             }
-            let mut union: Vec<u32> = members
-                .iter()
-                .flat_map(|&fi| paths[fi as usize].iter().map(|l| l.0))
-                .collect();
-            union.sort_unstable();
-            union.dedup();
-            assert_eq!(*links, union, "component {c}'s link list");
+            assert!(
+                links.windows(2).all(|w| w[0] < w[1]),
+                "component {c}'s shared links"
+            );
             for &fi in members {
                 seen[fi as usize] += 1;
-                // The shared hops are the path's links with more than one
-                // path entry, in path order, by position in `links`.
-                let hops: Vec<u32> = comps
+                // A link with more than one path entry is shared.
+                let (want_shared, want_private): (Vec<u32>, Vec<u32>) = paths[fi as usize]
+                    .iter()
+                    .map(|l| l.0)
+                    .partition(|&l| entries[l as usize] > 1);
+                let shared: Vec<u32> = comps
                     .shared_hops(fi)
                     .iter()
                     .map(|&li| links[li as usize])
                     .collect();
-                let want: Vec<u32> = paths[fi as usize]
-                    .iter()
-                    .map(|l| l.0)
-                    .filter(|&l| comps.idx.deg(l as usize) > 1)
-                    .collect();
-                assert_eq!(hops, want, "flow {fi}'s shared hops");
+                assert_eq!(shared, want_shared, "flow {fi}'s shared hops");
+                assert_eq!(
+                    comps.private_hops(fi),
+                    want_private,
+                    "flow {fi}'s private hops"
+                );
             }
-            for &l in links {
-                listed[l as usize] = true;
-                // The flows crossing a link, by position in `members`.
+            for (li, &l) in links.iter().enumerate() {
+                listed[l as usize] += 1;
+                // The flows crossing a shared link, by position in
+                // `members`, are the members with a hop at its position.
                 let idx = &comps.idx;
                 let (s, e) = (
                     idx.off[l as usize] as usize,
@@ -1073,11 +1171,13 @@ mod tests {
                     .iter()
                     .map(|&ci| members[ci as usize])
                     .collect();
-                let want: Vec<u32> = (0..paths.len() as u32)
-                    .flat_map(|fi| {
-                        paths[fi as usize]
+                let want: Vec<u32> = members
+                    .iter()
+                    .flat_map(|&fi| {
+                        comps
+                            .shared_hops(fi)
                             .iter()
-                            .filter(move |p| p.0 == l)
+                            .filter(move |&&h| h as usize == li)
                             .map(move |_| fi)
                     })
                     .collect();
@@ -1087,10 +1187,11 @@ mod tests {
         for (fi, p) in paths.iter().enumerate() {
             assert_eq!(seen[fi], u32::from(!p.is_empty()), "flow {fi}");
         }
-        // Links no live flow crosses (only withdrawn ones, or none) belong
-        // to no component.
-        for (l, &listed) in listed.iter().enumerate() {
-            assert_eq!(listed, comps.idx.deg(l) > 0, "link {l}");
+        // A shared link is listed by exactly one component; a private or
+        // unused one by none, and its index range is empty.
+        for (l, &n) in entries.iter().enumerate() {
+            assert_eq!(listed[l], u32::from(n > 1), "link {l}");
+            assert_eq!(comps.idx.is_shared(l), n > 1, "link {l}");
         }
     }
 
@@ -1309,43 +1410,69 @@ mod tests {
 
     #[test]
     fn event_queue_pops_in_binary_heap_order() {
-        let key = |ev: LinkEvent| (ev.level.to_bits(), ev.link, ev.stamp);
         check::cases(64, |g| {
             // Few distinct levels, so ties fall through to link and stamp.
             let level = |g: &mut check::Gen| g.range(0..6u32) as f64 * 0.25;
-            let nl = g.range(0..40u32);
+            // Link ids 0..n, each shared, private or unused. The reference
+            // is one heap over every event, keyed by link id.
+            let mut links = Vec::new();
             let mut initial = Vec::new();
-            for link in 0..nl {
-                if g.range(0..4u32) != 0 {
-                    initial.push(LinkEvent {
-                        level: level(g),
-                        link,
-                        stamp: 0,
-                    });
+            let mut private = Vec::new();
+            let mut heap = BinaryHeap::new();
+            for id in 0..g.range(0..60u32) {
+                let level = level(g);
+                match g.range(0..3u32) {
+                    0 => {
+                        initial.push(LinkEvent {
+                            level,
+                            link: links.len() as u32,
+                            stamp: 0,
+                        });
+                        links.push(id);
+                    }
+                    1 => private.push(PrivateEvent {
+                        level,
+                        link: id,
+                        flow: private.len() as u32,
+                    }),
+                    _ => continue,
                 }
+                heap.push(Reverse(LinkEvent {
+                    level,
+                    link: id,
+                    stamp: 0,
+                }));
             }
-            let mut queue = EventQueue::new(initial.clone());
-            let mut heap: BinaryHeap<Reverse<LinkEvent>> =
-                initial.into_iter().map(Reverse).collect();
-            let mut stamps = vec![0u32; nl as usize];
+            let key = |ev: Event| match ev {
+                Event::Shared(e) => (e.level.to_bits(), links[e.link as usize], e.stamp),
+                Event::Private(p) => (p.level.to_bits(), p.link, 0),
+            };
+            let want_key = |ev: LinkEvent| (ev.level.to_bits(), ev.link, ev.stamp);
+            let mut stamps = vec![0u32; links.len()];
+            let mut queue = EventQueue::new(&links, initial, private);
             loop {
-                assert_eq!(queue.peek().map(key), heap.peek().map(|r| key(r.0)));
+                assert_eq!(queue.peek().map(key), heap.peek().map(|r| want_key(r.0)));
                 let (got, want) = (queue.pop(), heap.pop().map(|r| r.0));
-                assert_eq!(got.map(key), want.map(key));
-                let Some(ev) = got else { break };
-                // Re-key about half the popped links, as the solver does
-                // with a stale entry, at a level that may tie others.
-                if g.bool() {
-                    let li = ev.link as usize;
-                    stamps[li] += 1;
-                    let rekeyed = LinkEvent {
-                        level: level(g),
-                        link: ev.link,
-                        stamp: stamps[li],
-                    };
-                    queue.push(rekeyed);
-                    heap.push(Reverse(rekeyed));
-                }
+                assert_eq!(got.map(key), want.map(want_key));
+                // Re-key about half the popped shared links, as the solver
+                // does with a stale entry, at a level that may tie others.
+                let ev = match got {
+                    None => break,
+                    Some(Event::Shared(ev)) if g.bool() => ev,
+                    Some(_) => continue,
+                };
+                let li = ev.link as usize;
+                stamps[li] += 1;
+                let rekeyed = LinkEvent {
+                    level: level(g),
+                    link: ev.link,
+                    stamp: stamps[li],
+                };
+                queue.push(rekeyed);
+                heap.push(Reverse(LinkEvent {
+                    link: links[li],
+                    ..rekeyed
+                }));
             }
         });
     }
@@ -1381,45 +1508,75 @@ mod tests {
             solver.solve();
             let bits = |a: &Allocation| a.rates.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
             for _ in 0..8 {
-                // Each kind of change joins the step's delta with
-                // probability 1/3, so steps range from no-ops to mixes.
                 let mut delta = ResolveDelta::default();
-                if g.range(0..3u32) == 0 {
-                    for _ in 0..g.range(1..4u32) {
-                        let l = LinkId(g.range(0..nl));
+                if g.range(0..4u32) == 0 {
+                    // Re-provision or fail only private links: injection
+                    // and ejection links that one live flow alone crosses.
+                    // Such a step dirties no shared link, so only the
+                    // flows' private hops show it to the dirty check.
+                    let mut entries = vec![0u32; nl as usize];
+                    for (f, &w) in solver.flows().iter().zip(&withdrawn) {
+                        for l in f.path.iter().filter(|_| !w) {
+                            entries[l.0 as usize] += 1;
+                        }
+                    }
+                    let private: Vec<LinkId> = (0..nl)
+                        .map(LinkId)
+                        .filter(|&l| {
+                            let level = topo.link(l).level;
+                            entries[l.0 as usize] == 1
+                                && matches!(level, LinkLevel::Injection | LinkLevel::Ejection)
+                        })
+                        .collect();
+                    for _ in 0..g.range(1..4u32).min(private.len() as u32) {
+                        let l = private[g.range(0..private.len())];
                         let cap = if g.bool() {
-                            caps[l.0 as usize] // a no-op re-statement
+                            Bandwidth::bytes_per_sec(0.0)
                         } else {
                             Bandwidth::gb_s(g.range(1.0..50.0))
                         };
                         delta.changed_capacities.push((l, cap));
                     }
-                }
-                if g.range(0..3u32) == 0 {
-                    // A failed pipe, pushed after the re-provisions so that
-                    // it wins over an earlier entry for the same link; half
-                    // the time it is the link just re-provisioned.
-                    let dead = match delta.changed_capacities.last() {
-                        Some(&(l, _)) if g.bool() => l,
-                        _ => LinkId(g.range(0..nl)),
-                    };
-                    delta
-                        .changed_capacities
-                        .push((dead, Bandwidth::bytes_per_sec(0.0)));
-                }
-                let live: Vec<usize> = (0..nf).filter(|&fi| !withdrawn[fi]).collect();
-                if !live.is_empty() && g.range(0..3u32) == 0 {
-                    let fi = live[g.range(0..live.len())];
-                    let f = &solver.flows()[fi];
-                    delta
-                        .changed_flows
-                        .push((fi, router.route(f.src, f.dst, &mut rng)));
-                }
-                if !live.is_empty() && g.range(0..3u32) == 0 {
-                    // One delta re-routes or withdraws a flow, not both.
-                    let fi = live[g.range(0..live.len())];
-                    if delta.changed_flows.iter().all(|c| c.0 != fi) {
-                        delta.removed_flows.push(fi);
+                } else {
+                    // Each kind of change joins the step's delta with
+                    // probability 1/3, so steps range from no-ops to mixes.
+                    if g.range(0..3u32) == 0 {
+                        for _ in 0..g.range(1..4u32) {
+                            let l = LinkId(g.range(0..nl));
+                            let cap = if g.bool() {
+                                caps[l.0 as usize] // a no-op re-statement
+                            } else {
+                                Bandwidth::gb_s(g.range(1.0..50.0))
+                            };
+                            delta.changed_capacities.push((l, cap));
+                        }
+                    }
+                    if g.range(0..3u32) == 0 {
+                        // A failed pipe, pushed after the re-provisions so that
+                        // it wins over an earlier entry for the same link; half
+                        // the time it is the link just re-provisioned.
+                        let dead = match delta.changed_capacities.last() {
+                            Some(&(l, _)) if g.bool() => l,
+                            _ => LinkId(g.range(0..nl)),
+                        };
+                        delta
+                            .changed_capacities
+                            .push((dead, Bandwidth::bytes_per_sec(0.0)));
+                    }
+                    let live: Vec<usize> = (0..nf).filter(|&fi| !withdrawn[fi]).collect();
+                    if !live.is_empty() && g.range(0..3u32) == 0 {
+                        let fi = live[g.range(0..live.len())];
+                        let f = &solver.flows()[fi];
+                        delta
+                            .changed_flows
+                            .push((fi, router.route(f.src, f.dst, &mut rng)));
+                    }
+                    if !live.is_empty() && g.range(0..3u32) == 0 {
+                        // One delta re-routes or withdraws a flow, not both.
+                        let fi = live[g.range(0..live.len())];
+                        if delta.changed_flows.iter().all(|c| c.0 != fi) {
+                            delta.removed_flows.push(fi);
+                        }
                     }
                 }
                 // The last entry for a link wins.
