@@ -26,6 +26,8 @@ use frontier_bench::experiments as exp;
 use frontier_bench::{report, Scale};
 use frontier_core::sim_core::prelude::{SimTime, Trace};
 use frontier_core::sim_core::{metrics, par};
+use std::fs::File;
+use std::io::Write;
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -80,10 +82,23 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn write_file(path: &str, contents: &str) {
-    if let Err(e) = std::fs::write(path, contents) {
-        eprintln!("repro: cannot write {path}: {e}");
-        std::process::exit(1);
+fn cannot_write(path: &str, e: std::io::Error) -> ! {
+    eprintln!("repro: cannot write {path}: {e}");
+    std::process::exit(1);
+}
+
+/// Create `path` before the run, so an unwritable path fails in a moment,
+/// not after every section has rendered.
+fn create_file(path: &str) -> (&str, File) {
+    match File::create(path) {
+        Ok(f) => (path, f),
+        Err(e) => cannot_write(path, e),
+    }
+}
+
+fn write_file((path, mut file): (&str, File), contents: &str) {
+    if let Err(e) = file.write_all(contents.as_bytes()) {
+        cannot_write(path, e);
     }
 }
 
@@ -136,6 +151,8 @@ fn main() {
             usage();
         }
     }
+    let metrics_file = metrics_out.as_deref().map(create_file);
+    let trace_file = trace_out.as_deref().map(create_file);
 
     // Telemetry only collects when one of the reporting flags asks for
     // it; otherwise every instrumentation site stays a single relaxed
@@ -214,10 +231,10 @@ fn main() {
         m.absorb(&global_snapshot());
         m
     };
-    if let Some(path) = &metrics_out {
-        write_file(path, &merged().to_json());
+    if let Some(file) = metrics_file {
+        write_file(file, &merged().to_json());
     }
-    if let Some(path) = &trace_out {
+    if let Some(file) = trace_file {
         let mut spans = spans.into_inner().expect("span log poisoned");
         spans.sort_by_key(|&(_, _, _, start, _)| start);
         let mut tr = Trace::new();
@@ -230,7 +247,7 @@ fn main() {
                 SimTime::from_nanos(end),
             );
         }
-        write_file(path, &tr.to_chrome_json());
+        write_file(file, &tr.to_chrome_json());
     }
     if want_report {
         print!(

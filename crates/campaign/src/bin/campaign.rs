@@ -27,6 +27,8 @@ use frontier_campaign::engine::{self, Mode, RunConfig};
 use frontier_campaign::jsonl;
 use frontier_campaign::spec::CampaignSpec;
 use frontier_core::sim_core::metrics;
+use std::fs::File;
+use std::io::Write;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -104,6 +106,16 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    // Created before the run, so an unwritable path fails in a moment,
+    // not after every variant has been computed.
+    let cannot_write = |e: std::io::Error| {
+        eprintln!("campaign: cannot write {}: {e}", cli.out_path);
+        ExitCode::FAILURE
+    };
+    let mut out = match File::create(&cli.out_path) {
+        Ok(f) => f,
+        Err(e) => return cannot_write(e),
+    };
 
     println!(
         "campaign \"{}\": {} variants ({} shapes x {} seeds x {} capacity points x {} overlays), {} mode",
@@ -140,9 +152,8 @@ fn main() -> ExitCode {
     let wall = t0.elapsed().as_secs_f64();
 
     let doc = jsonl::render_campaign(&spec.name, &result);
-    if let Err(e) = std::fs::write(&cli.out_path, &doc) {
-        eprintln!("campaign: cannot write {}: {e}", cli.out_path);
-        return ExitCode::FAILURE;
+    if let Err(e) = out.write_all(doc.as_bytes()) {
+        return cannot_write(e);
     }
 
     let s = &result.stats;

@@ -25,10 +25,11 @@
 //!   shared events (one per shared link) and the private events (one per
 //!   flow with a private link) are each sorted once and walked by a cursor
 //!   too, and only re-keyed events go through a (small) binary heap. The
-//!   queue pops them in one `(level, link id, stamp)` order. The solver
-//!   jumps the global water
-//!   level from event to event instead of re-deriving the minimum each
-//!   round.
+//!   queue pops them in one `(level, link id, stamp)` order. Both arrays
+//!   sort stably by level: the shared events are built in link-id order,
+//!   and the private events, built in flow order, are first radix-sorted
+//!   by link id. The solver jumps the global water level from event to
+//!   event instead of re-deriving the minimum each round.
 //! * Freezing a flow changes the saturation level of only the shared links
 //!   on its path. Those links are *lazily* re-keyed: a per-link stamp is
 //!   bumped on every update, and a popped entry whose stamp is stale is
@@ -54,26 +55,32 @@
 //! shared links, the flows crossing each shared link by position in the
 //! component, each flow's shared hops by position in that list, and each
 //! flow's private hops by link id (two CSRs), so every hop reaches its
-//! local state in O(1). Building it costs O(Σ|path| + L). A component
-//! solve keeps per-link state for its shared links only: with `L_s`
-//! shared links, `F` flows, `S` shared and `P` private hop entries and
-//! `E` initial events (shared links plus flows) it holds O(L_s + F) state
-//! and costs O(L_s + S + P + E log E + rekeys · log rekeys): each flow's
-//! shared hops are walked once when its weights are summed and once when
-//! it freezes, and its private hops once, to find its lowest. The round
-//! solvers cost O(rounds × links).
+//! local state in O(1). It also sums each shared link's flow weights,
+//! which depend only on paths and weights, so a capacity step reuses
+//! them. Building it costs O(Σ|path| + L). A component solve keeps
+//! per-link state for its shared links only: with `L_s` shared links, `F`
+//! flows, `S` shared and `P` private hop entries, `E` initial events
+//! (shared links plus flows) of `d` distinct levels, and `k ≤ 4` bytes in
+//! which the private events' link ids differ, it holds O(L_s + F) state
+//! and costs O(L_s + S + P + k·F + E log d + rekeys · log rekeys): each
+//! flow's shared hops are walked once, when it freezes, and its private
+//! hops once, to find its lowest; the link ids take `k` radix passes, and
+//! the levels a stable comparison sort, close to linear on few distinct
+//! keys (`E log E` at worst; in the full-scale components of over 1,000
+//! flows each event array has 1–58 distinct levels among 512–80,572
+//! events). The round solvers cost O(rounds × links).
 //!
 //! [`Solver`] adds **warm-start re-solves** on top: it caches the per-flow
 //! rates of the last solve, and [`Solver::resolve_with`] re-solves only
 //! the components touched by a delta (re-provisioned capacities, re-routed
 //! flows, removed flows), copying every untouched component's rates
 //! straight from the cache. It also keeps the decomposition: a delta that
-//! moves no path (capacity changes only) leaves the flow index and the
-//! components valid, so they are rebuilt only when a flow is re-routed or
-//! withdrawn. The UGAL minimal-vs-adaptive comparison and the campaign
-//! engine's capacity sweep both re-solve workloads that differ
-//! from the previous solve in a handful of paths or capacities, which is
-//! exactly this shape.
+//! moves no path (capacity changes only) leaves the flow index, the
+//! components and their weight sums valid, so they are rebuilt only when a
+//! flow is re-routed or withdrawn. The UGAL minimal-vs-adaptive
+//! comparison and the campaign engine's capacity sweep both re-solve
+//! workloads that differ from the previous solve in a handful of paths or
+//! capacities, which is exactly this shape.
 //!
 //! Tolerance semantics are inherited from the round solvers: all events
 //! within `REL_EPS` (relative) of the batch level freeze at the *same*
@@ -170,6 +177,10 @@ pub(crate) struct Components {
     /// Each flow's private hops (links it alone crosses), in path order,
     /// as link ids.
     pub private: Vec<u32>,
+    /// Each component's per-link weight sums, parallel to its
+    /// `shared_links`: each member's weight once per shared hop, added in
+    /// member order and, within a member, in path order.
+    pub lweights: Vec<Vec<f64>>,
 }
 
 impl Components {
@@ -190,8 +201,8 @@ impl Components {
 /// Interference components of `paths` over `nl` links: flows sharing any
 /// link are unioned — a deterministic decomposition regardless of how the
 /// solve later parallelizes. Flows with an empty path belong to no
-/// component.
-pub(crate) fn find_components(nl: usize, paths: &[&[LinkId]]) -> Components {
+/// component. Flow `fi` weighs `weights[fi]` in its links' weight sums.
+pub(crate) fn find_components(nl: usize, paths: &[&[LinkId]], weights: &[f64]) -> Components {
     let mut idx = build_index(nl, paths);
     let nf = paths.len();
     let mut uf = UnionFind::new(nf);
@@ -231,6 +242,7 @@ pub(crate) fn find_components(nl: usize, paths: &[&[LinkId]]) -> Components {
         *local = comp.len() as u32;
         comp.push(l as u32);
     }
+    let mut lweights: Vec<Vec<f64>> = shared_links.iter().map(|l| vec![0.0; l.len()]).collect();
     let nhops: usize = paths.iter().map(|p| p.len()).sum();
     let mut shared = Vec::with_capacity(idx.link_flows.len());
     let mut private = Vec::with_capacity(nhops - idx.link_flows.len());
@@ -238,10 +250,13 @@ pub(crate) fn find_components(nl: usize, paths: &[&[LinkId]]) -> Components {
     let mut private_off = Vec::with_capacity(nf + 1);
     shared_off.push(0);
     private_off.push(0);
-    for p in paths {
+    // Flows in ascending order add to each link's sum in member order.
+    for (fi, p) in paths.iter().enumerate() {
+        let c = comp_of_root[uf.find(fi as u32) as usize] as usize;
         for l in *p {
             let li = l.0 as usize;
             if idx.is_shared(li) {
+                lweights[c][link_local[li] as usize] += weights[fi];
                 shared.push(link_local[li]);
             } else {
                 private.push(l.0);
@@ -261,6 +276,7 @@ pub(crate) fn find_components(nl: usize, paths: &[&[LinkId]]) -> Components {
         shared,
         private_off,
         private,
+        lweights,
     }
 }
 
@@ -308,6 +324,43 @@ struct PrivateEvent {
     flow: u32,
 }
 
+/// Below this many events, [`sort_by_link`] compares instead: a radix pass
+/// costs a 256-entry histogram whatever the length. On a 2-vCPU Xeon VM
+/// the comparison sort of random link ids was faster up to 192 events
+/// and slower from 256 on.
+const RADIX_MIN: usize = 256;
+
+/// Sort private events by link id: an LSD radix sort, one pass per 8-bit
+/// digit, least significant first, that skips every digit all the ids
+/// share. A component's private links are distinct, so no two events tie.
+fn sort_by_link(v: &mut Vec<PrivateEvent>) {
+    let Some(&first) = v.first() else {
+        return;
+    };
+    if v.len() < RADIX_MIN {
+        v.sort_unstable_by_key(|p| p.link);
+        return;
+    }
+    let varying = v.iter().fold(0, |acc, p| acc | (p.link ^ first.link));
+    let mut buf = vec![first; v.len()];
+    for shift in (0..32).step_by(8).filter(|&s| (varying >> s) as u8 != 0) {
+        let mut slots = [0usize; 256];
+        for p in v.iter() {
+            slots[(p.link >> shift) as u8 as usize] += 1;
+        }
+        let mut start = 0;
+        for slot in &mut slots {
+            (*slot, start) = (start, start + *slot);
+        }
+        for p in v.iter() {
+            let slot = &mut slots[(p.link >> shift) as u8 as usize];
+            buf[*slot] = *p;
+            *slot += 1;
+        }
+        std::mem::swap(v, &mut buf);
+    }
+}
+
 /// The next pending event of a component solve.
 #[derive(Clone, Copy)]
 enum Event {
@@ -335,8 +388,16 @@ struct EventQueue<'a> {
 
 impl<'a> EventQueue<'a> {
     fn new(links: &'a [u32], mut initial: Vec<LinkEvent>, mut private: Vec<PrivateEvent>) -> Self {
-        initial.sort_unstable();
-        private.sort_unstable_by(|a, b| a.level.total_cmp(&b.level).then(a.link.cmp(&b.link)));
+        // Both arrays sort stably by level. Shared events come in position
+        // order, which is link-id order; private events come in flow order,
+        // so they are put in link-id order first. A component's levels take
+        // few distinct values (capacities over weights or weight sums), on
+        // which the standard stable sort is close to linear; its private
+        // link ids are all distinct, which suits the radix sort.
+        debug_assert!(initial.windows(2).all(|w| w[0].link < w[1].link));
+        initial.sort_by(|a, b| a.level.total_cmp(&b.level));
+        sort_by_link(&mut private);
+        private.sort_by(|a, b| a.level.total_cmp(&b.level));
         EventQueue {
             links,
             initial,
@@ -459,13 +520,7 @@ fn solve_component(sh: &Shared, c: usize) -> CompResult {
 
     let ccaps: Vec<f64> = links.iter().map(|&l| sh.caps[l as usize]).collect();
     let mut avail = ccaps.clone();
-    let mut lweight = vec![0.0f64; nll];
-    for &fi in comp {
-        let w = sh.weights[fi as usize];
-        for &li in sh.comps.shared_hops(fi) {
-            lweight[li as usize] += w;
-        }
-    }
+    let mut lweight = sh.comps.lweights[c].clone();
     let mut stamps = vec![0u32; nll];
     let mut done = vec![false; nll];
 
@@ -807,7 +862,7 @@ pub(crate) fn solve_event_driven(topo: &Topology, flows: &[Flow], weights: &[f64
         .collect();
     let paths: Vec<&[LinkId]> = flows.iter().map(|f| f.path.as_slice()).collect();
     let demands: Vec<f64> = flows.iter().map(|f| f.demand.as_bytes_per_sec()).collect();
-    let comps = find_components(caps.len(), &paths);
+    let comps = find_components(caps.len(), &paths, weights);
     let sh = Shared {
         caps: &caps,
         paths: &paths,
@@ -947,7 +1002,7 @@ impl<'a> Solver<'a> {
     /// the decomposition.
     pub fn solve(&mut self) -> Allocation {
         let paths = self.paths_view();
-        let comps = find_components(self.caps.len(), &paths);
+        let comps = find_components(self.caps.len(), &paths, &self.weights);
         let sh = Shared {
             caps: &self.caps,
             paths: &paths,
@@ -1007,7 +1062,7 @@ impl<'a> Solver<'a> {
         let comps = if delta.changed_flows.is_empty() && delta.removed_flows.is_empty() {
             comps
         } else {
-            find_components(nl, &paths)
+            find_components(nl, &paths, &self.weights)
         };
 
         let mut rates = vec![0.0f64; self.flows.len()];
@@ -1113,10 +1168,13 @@ mod tests {
 
     /// Every path entry lands in exactly one of its flow's shared or
     /// private hop lists, in path order; each component's shared links are
-    /// ascending; and the flow index inverts the shared hops.
-    fn assert_decomposition(paths: &[&[LinkId]], nl: usize) {
-        let comps = find_components(nl, paths);
+    /// ascending; the flow index inverts the shared hops; and each shared
+    /// link's weight sum is, to the bit, its crossing flows' weights added
+    /// in member order.
+    fn assert_decomposition(paths: &[&[LinkId]], weights: &[f64], nl: usize) {
+        let comps = find_components(nl, paths, weights);
         assert_eq!(comps.members.len(), comps.shared_links.len());
+        assert_eq!(comps.members.len(), comps.lweights.len());
         assert_eq!(comps.shared_off.len(), paths.len() + 1);
         assert_eq!(comps.private_off.len(), paths.len() + 1);
         let mut entries = vec![0u32; nl];
@@ -1139,6 +1197,7 @@ mod tests {
                 links.windows(2).all(|w| w[0] < w[1]),
                 "component {c}'s shared links"
             );
+            assert_eq!(comps.lweights[c].len(), links.len());
             for &fi in members {
                 seen[fi as usize] += 1;
                 // A link with more than one path entry is shared.
@@ -1182,6 +1241,14 @@ mod tests {
                     })
                     .collect();
                 assert_eq!(crossing, want, "flows crossing link {l}");
+                let sum = crossing
+                    .iter()
+                    .fold(0.0, |sum, &fi| sum + weights[fi as usize]);
+                assert_eq!(
+                    comps.lweights[c][li].to_bits(),
+                    sum.to_bits(),
+                    "link {l}'s weight sum"
+                );
             }
         }
         for (fi, p) in paths.iter().enumerate() {
@@ -1226,9 +1293,11 @@ mod tests {
             let withdrawn: Vec<usize> =
                 (0..flows.len()).filter(|_| g.range(0..4u32) == 0).collect();
             let nl = topo.num_links() as usize;
+            // Weights with inexact sums, so the summation order shows.
+            let weights: Vec<f64> = flows.iter().map(|_| g.range(0.1..3.0)).collect();
 
             let paths: Vec<&[LinkId]> = flows.iter().map(|f| f.path.as_slice()).collect();
-            assert_decomposition(&paths, nl);
+            assert_decomposition(&paths, &weights, nl);
             let bits = |a: &Allocation| a.rates.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
             let direct = solve_maxmin(topo, &flows);
             let mut solver = Solver::new(topo, flows.clone());
@@ -1239,7 +1308,7 @@ mod tests {
             // Withdraw flows: their links drop out of the decomposition, and
             // the warm, cold and free-function solves still agree bit for bit.
             let warm = solver.resolve_with(&ResolveDelta::removed_flows(withdrawn.clone()));
-            assert_decomposition(&solver.paths_view(), nl);
+            assert_decomposition(&solver.paths_view(), &weights, nl);
             for &fi in &withdrawn {
                 flows[fi].path.clear();
             }
@@ -1474,6 +1543,76 @@ mod tests {
                     ..rekeyed
                 }));
             }
+        });
+    }
+
+    /// The queue's sorts order both event arrays, element for element, as
+    /// a comparison sort by `(level, link id)` does: shared events (built in
+    /// position order, stably sorted by level) and private events (built in
+    /// flow order). Sizes run from empty through the radix cutoff to ~10k;
+    /// levels are few (heavy ties) or many, and include zero, subnormal,
+    /// huge and negative ones; private link ids vary in every byte.
+    #[test]
+    fn event_sorts_match_comparison_sort() {
+        const SPECIAL: [f64; 7] = [0.0, -0.0, -2.5, 5e-324, 1.5e-310, 1e300, f64::MAX];
+        let by_level_then_link = |a: &PrivateEvent, b: &PrivateEvent| {
+            a.level.total_cmp(&b.level).then(a.link.cmp(&b.link))
+        };
+        check::cases(64, |g| {
+            let n = match g.range(0..6u32) {
+                0 => g.range(0..2usize),
+                1 => RADIX_MIN - 1,
+                2 => RADIX_MIN,
+                3 => RADIX_MIN + 1,
+                4 => g.range(2..4 * RADIX_MIN),
+                _ => g.range(9_000..11_000),
+            };
+            let distinct = if g.bool() {
+                g.range(1..4usize)
+            } else {
+                n.max(1)
+            };
+            let pool: Vec<f64> = (0..distinct)
+                .map(|_| match g.range(0..4u32) {
+                    0 => SPECIAL[g.range(0..SPECIAL.len())],
+                    _ => g.range(0.0..1e12),
+                })
+                .collect();
+            // An odd stride maps flow indices to distinct link ids.
+            let stride = 2 * g.range(0..u32::MAX / 2) + 1;
+            let offset = g.range(0..u32::MAX);
+            let private: Vec<PrivateEvent> = (0..n as u32)
+                .map(|flow| PrivateEvent {
+                    level: pool[g.range(0..pool.len())],
+                    link: flow.wrapping_mul(stride).wrapping_add(offset),
+                    flow,
+                })
+                .collect();
+            let initial: Vec<LinkEvent> = (0..n as u32)
+                .map(|link| LinkEvent {
+                    level: pool[g.range(0..pool.len())],
+                    link,
+                    stamp: 0,
+                })
+                .collect();
+            let mut want_private = private.clone();
+            want_private.sort_unstable_by(by_level_then_link);
+            let mut want_initial = initial.clone();
+            want_initial.sort_unstable();
+            let links: Vec<u32> = (0..n as u32).collect();
+            let queue = EventQueue::new(&links, initial, private);
+            let key = |p: &PrivateEvent| (p.level.to_bits(), p.link, p.flow);
+            assert!(queue
+                .private
+                .iter()
+                .map(key)
+                .eq(want_private.iter().map(key)));
+            let key = |e: &LinkEvent| (e.level.to_bits(), e.link, e.stamp);
+            assert!(queue
+                .initial
+                .iter()
+                .map(key)
+                .eq(want_initial.iter().map(key)));
         });
     }
 
