@@ -5,7 +5,7 @@
 //! cargo run --release -p frontier-bench --bin repro            # everything
 //! cargo run --release -p frontier-bench --bin repro -- table3  # one section
 //! cargo run --release -p frontier-bench --bin repro -- --small all
-//! cargo run --release -p frontier-bench --bin repro -- --jobs 4 all
+//! cargo run --release -p frontier-bench --bin repro -- --jobs 2 all
 //! cargo run --release -p frontier-bench --bin repro -- --serial all
 //! ```
 //!
@@ -70,7 +70,7 @@ fn usage() -> ! {
          options:\n  \
          --small         ratio-preserving reduced fabric (fast)\n  \
          --serial        render sections one at a time on this thread\n  \
-         --jobs N        run on at most N threads, sections and solvers together (default: all cores)\n  \
+         --jobs N        run on at most N threads, sections and solvers together (default and cap: all cores)\n  \
          --metrics FILE  write the telemetry snapshot as sorted JSON\n  \
          --trace FILE    write per-section wall-clock spans as chrome://tracing JSON\n  \
          --report        print a human-readable telemetry summary after the sections\n\n\
@@ -124,6 +124,12 @@ fn main() {
                     .and_then(|v| v.parse().ok())
                     .filter(|&n| n > 0)
                     .unwrap_or_else(|| usage());
+                // Each fan-out may start N - 1 helpers; past the host's threads none help.
+                let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+                if n > host {
+                    eprintln!("repro: --jobs {n} exceeds this host's {host} hardware threads\n");
+                    usage();
+                }
                 par::set_threads(n);
             }
             "-h" | "--help" => usage(),

@@ -31,8 +31,8 @@
 //! mutable state. Serial and parallel execution produce identical
 //! `CampaignResult`s — rows are collected per track and stitched in
 //! canonical order, and the sweep counters are summed in track order, not
-//! completion order. `bench_campaign` byte-compares the two JSONL streams
-//! in CI.
+//! completion order. `tests/quick_grid.rs` byte-compares the two JSONL
+//! streams with each other and with a committed golden.
 
 use crate::grid::Variant;
 use crate::plan::{self, Track};

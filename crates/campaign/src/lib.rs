@@ -2,8 +2,9 @@
 //!
 //! The design-space campaign engine: a declarative description of a
 //! machine-parameter grid (fabric shape, link rates, taper bundles, FIT
-//! rates, node-local NVMe, power envelopes) × workloads × seeds, swept at
-//! ≥1,000 full-machine variants/minute on one node.
+//! rates, node-local NVMe, power envelopes) × workloads × seeds. The
+//! benchmark's `campaign-ref` workload times a 1,944-variant full-machine
+//! grid.
 //!
 //! The throughput comes from exploiting how the grid factors, not from
 //! brute force:
@@ -22,8 +23,8 @@
 //!
 //! Execution is deterministic: every variant's result is a pure function
 //! of the spec, so the parallel sweep and the serial sweep emit
-//! byte-identical JSONL (pinned by tests and the `bench_campaign` CI
-//! gate).
+//! byte-identical JSONL (pinned by `tests/quick_grid.rs` and by the
+//! reference grid's SHA-256 in CI).
 //!
 //! ```
 //! use frontier_campaign::{engine, spec::CampaignSpec};

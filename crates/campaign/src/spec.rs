@@ -207,6 +207,29 @@ impl CampaignSpec {
                 }
             }
         }
+        // Every count grows with every axis, so the largest shape decides.
+        let [g, spg, eps, io] = [
+            &self.machine.groups,
+            &self.machine.switches_per_group,
+            &self.machine.endpoints_per_switch,
+            &self.machine.io_groups,
+        ]
+        .map(|axis| axis.iter().copied().max().unwrap_or(0));
+        let counts = machine_size(g, spg, eps, io).into_iter();
+        for ((what, n), f) in ["endpoints", "switches", "links"]
+            .into_iter()
+            .zip(counts)
+            .zip(machine_size(74, 32, 16, 5))
+        {
+            let ceiling = f * MAX_FRONTIER_MULTIPLE;
+            if n > ceiling {
+                return fail(format!(
+                    "a machine of {g} groups x {spg} switches x {eps} endpoints with {io} I/O \
+                     groups has {n} {what}, above the ceiling of {ceiling} \
+                     ({MAX_FRONTIER_MULTIPLE}x Frontier's {f})"
+                ));
+            }
+        }
         for (spg, eps, nics) in itertools3(
             &self.machine.switches_per_group,
             &self.machine.endpoints_per_switch,
@@ -275,6 +298,31 @@ impl CampaignSpec {
     pub fn has_workload(&self, w: Workload) -> bool {
         self.workloads.contains(&w)
     }
+}
+
+/// The largest machine a spec may describe, as a multiple of Frontier's
+/// endpoints, switches and links (37,888, 2,368 and 155,326). Past it a
+/// build needs gigabytes (the global-pipe table grows with `groups`²) and
+/// the failed allocation aborts the process, so validation sizes first.
+const MAX_FRONTIER_MULTIPLE: u64 = 8;
+
+/// `[endpoints, switches, directed links]` that `Dragonfly::build` wires:
+/// two links per endpoint, and a duplex link per in-group switch pair, per
+/// group pair and per compute-to-I/O group pair. Saturating, so an absurd
+/// shape still compares above the ceiling.
+fn machine_size(groups: usize, spg: usize, eps: usize, io: usize) -> [u64; 3] {
+    let [g, spg, eps, io] = [groups, spg, eps, io].map(|v| v as u64);
+    let switches = g.saturating_mul(spg);
+    let endpoints = switches.saturating_mul(eps);
+    let links = [
+        endpoints.saturating_mul(2),
+        switches.saturating_mul(spg - 1),
+        g.saturating_mul(g - 1),
+        g.saturating_mul(io).saturating_mul(2),
+    ]
+    .into_iter()
+    .fold(0, u64::saturating_add);
+    [endpoints, switches, links]
 }
 
 const MACHINE_KEYS: [&str; 5] = [
@@ -468,6 +516,28 @@ mod tests {
         assert!(CampaignSpec::parse_str("bogus_key = 1").is_err());
         assert!(CampaignSpec::parse_str("[overlay]\nfit_scale = [-1.0]").is_err());
         assert!(CampaignSpec::parse_str("[sweep]\nprotocol_efficiency = [1.5]").is_err());
+    }
+
+    /// The sizes the ceiling checks are those of the built topology, an
+    /// absurd shape saturates, and Frontier's own grid passes.
+    #[test]
+    fn machine_size_counts_the_built_dragonfly() {
+        use frontier_core::fabric::dragonfly::{Dragonfly, DragonflyParams};
+        for (groups, spg, eps, io) in [(2, 1, 1, 1), (8, 4, 4, 5), (16, 8, 8, 2)] {
+            let df = Dragonfly::build(DragonflyParams {
+                groups,
+                switches_per_group: spg,
+                endpoints_per_switch: eps,
+                io_groups: io,
+                ..DragonflyParams::frontier()
+            });
+            let t = df.topology();
+            let built = [t.num_endpoints(), t.num_switches(), t.num_links()].map(u64::from);
+            assert_eq!(machine_size(groups, spg, eps, io), built);
+        }
+        assert_eq!(machine_size(74, 32, 16, 5), [37_888, 2_368, 155_326]);
+        assert_eq!(machine_size(usize::MAX, 2, 2, 1), [u64::MAX; 3]);
+        assert!(CampaignSpec::parse_str(include_str!("../tests/data/reference.toml")).is_ok());
     }
 
     #[test]

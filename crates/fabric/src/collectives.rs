@@ -83,10 +83,6 @@ impl<'a> Collectives<'a> {
         self
     }
 
-    pub fn num_ranks(&self) -> usize {
-        self.ranks.len()
-    }
-
     /// Run one synchronized round of (src_rank, dst_rank, size) exchanges
     /// and return the round's completion time.
     fn round(&self, pairs: &[(usize, usize, Bytes)], rng: &mut StreamRng) -> SimTime {

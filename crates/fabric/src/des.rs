@@ -317,12 +317,14 @@ pub enum QueueKind {
 /// heap. Below it, the calendar's bucket bookkeeping and width
 /// recalibration cost more than `log n` heap sifts on a near-empty queue.
 ///
-/// The crossover is bracketed by BENCH_des.json: at 1,232 hop events
-/// (64 endpoints) the calendar runs ~1.3× *slower* than the heap
-/// (98 µs vs 75 µs), while at 22,660 hop events (1,024 endpoints) it is
-/// already 2.1× faster (1.04 ms vs 2.16 ms) and 2.7× faster at full
-/// machine. The threshold sits between those measured points; a batch
-/// whose total hop count reaches it is firmly in the calendar's regime.
+/// Bracketed on the mpiGraph per-message batch, one thread, median of 5:
+/// at about 1,200 hop events (64 endpoints) the calendar ran ~1.3×
+/// *slower* than the heap (98 µs vs 75 µs), while at about 22,700 hop
+/// events (1,024 endpoints) it was already 2.1× faster (1.04 ms vs 2.16
+/// ms) and 2.7× faster at full machine. The threshold sits between those
+/// measured points; a batch whose total hop count reaches it is firmly in
+/// the calendar's regime. The benchmark's `fabric.des.{calendar,heap}_ms`
+/// layers time both queues on the full-machine batch.
 pub const CALENDAR_MIN_HOP_EVENTS: u64 = 8_192;
 
 /// The scheduler [`simulate`] picks for `batch`: the binary heap below
@@ -635,9 +637,9 @@ mod tests {
 
     #[test]
     fn auto_select_pins_the_crossover() {
-        // Below the threshold (the BENCH_des.json "small" regime, 1,232
-        // hop events): the heap. At/above it (the "subset" regime, 22,660
-        // hop events): the calendar.
+        // Below the threshold (the 64-endpoint mpiGraph batch's regime,
+        // about 1,200 hop events): the heap. At/above it (the 1,024-endpoint
+        // regime, about 22,700 hop events): the calendar.
         let (_, path) = pair();
         let mut small = MessageBatch::new();
         let span = small.intern(&path);

@@ -465,8 +465,8 @@ pub fn run_on(df: &Dragonfly, cfg: &GpcnetConfig) -> GpcnetReport {
 ///
 /// At `frontier_table5` scale this is a full-machine per-message workload
 /// — 1,880 victim nodes × 8 PPN = 15,040 ranks, ~14 rounds of ~15k
-/// simultaneous messages — and is the GPCNeT entry the `bench_des`
-/// harness drives.
+/// simultaneous messages — and is what the benchmark's `des-allreduce`
+/// workload times.
 pub fn victim_allreduce_des(df: &Dragonfly, cfg: &GpcnetConfig, size: Bytes) -> SimTime {
     use crate::collectives::{AllreduceAlgo, Collectives};
     let total_nodes = cfg.nodes.min(df.params().total_nodes());

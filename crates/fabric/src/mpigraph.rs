@@ -8,7 +8,7 @@
 //! inside a group (the small ~1.4 % population at 17.5 GB/s), the 57 %
 //! global taper, and non-minimal routing doubling load on global pipes.
 
-use crate::des::{simulate, Delivery, DesConfig, MessageBatch};
+use crate::des::{simulate, DesConfig, MessageBatch};
 use crate::dragonfly::Dragonfly;
 use crate::fattree::FatTree;
 use crate::maxmin::solve_maxmin;
@@ -98,17 +98,19 @@ pub fn run_with_flows(topo: &Topology, flows: &[Flow], seed: u64) -> MpiGraphRes
     MpiGraphResult::from_solved_rates(rates, seed)
 }
 
-/// Run mpiGraph over a dragonfly with the given routing policy. Routing
-/// goes through the batch API: each of the ~9k flows draws from its own
+/// mpiGraph's pairs over `df`, routed with `policy`. Routing goes through
+/// the batch API: each of the ~9k flows draws from its own
 /// `(seed, index)`-keyed stream, so the routing pass parallelizes without
 /// changing the result.
-pub fn run_dragonfly(df: &Dragonfly, policy: RoutePolicy, seed: u64) -> MpiGraphResult {
-    let n = df.params().total_endpoints();
+fn dragonfly_flows(df: &Dragonfly, policy: RoutePolicy, seed: u64) -> Vec<Flow> {
     let mut rng = StreamRng::for_component(seed, "mpigraph-pairs", 0);
-    let pairs = mpigraph_pairs(n, &mut rng);
-    let router = Router::new(df, policy);
-    let flows = router.route_all(&pairs, 0, seed);
-    run_with_flows(df.topology(), &flows, seed)
+    let pairs = mpigraph_pairs(df.params().total_endpoints(), &mut rng);
+    Router::new(df, policy).route_all(&pairs, 0, seed)
+}
+
+/// Run mpiGraph over a dragonfly with the given routing policy.
+pub fn run_dragonfly(df: &Dragonfly, policy: RoutePolicy, seed: u64) -> MpiGraphResult {
+    run_with_flows(df.topology(), &dragonfly_flows(df, policy, seed), seed)
 }
 
 /// Messages per pair in the per-message (DES) variant: a short
@@ -119,34 +121,6 @@ pub const DES_WINDOW: usize = 4;
 /// Message size of the per-message variant (mpiGraph's large-message
 /// regime, where the measurement is bandwidth-dominated).
 pub const DES_MESSAGE: Bytes = Bytes::new(1 << 20);
-
-/// The per-message counterpart of [`run_with_flows`]: instead of one
-/// steady-state max-min solve, every pair injects a window of
-/// [`DES_WINDOW`] × [`DES_MESSAGE`] back-to-back messages and the whole
-/// machine is simulated message-by-message on the DES core. The per-pair
-/// receive bandwidth is bytes sent over the delivery time of the pair's
-/// last message.
-///
-/// One flat [`MessageBatch`] carries the full machine (9,472 nodes →
-/// ~150k messages at Frontier scale), which is exactly the workload the
-/// SoA arena + calendar queue are built for.
-pub fn run_des_with_flows(topo: &Topology, flows: &[Flow], seed: u64) -> MpiGraphResult {
-    let batch = des_batch(flows);
-    let deliveries = simulate(topo, &DesConfig::default(), &batch);
-    des_result(flows.len(), &deliveries, seed)
-}
-
-/// [`run_des_with_flows`] on the domain-parallel engine
-/// ([`crate::pdes::simulate_parallel`]): identical batch, identical
-/// deliveries (the parallel engine is byte-exact), concurrent wall-clock.
-/// [`frontier_sim_core::par`] re-installs the active metrics scope inside
-/// every domain task, so scoped telemetry attributes exactly as in the
-/// serial run.
-pub fn run_des_with_flows_parallel(topo: &Topology, flows: &[Flow], seed: u64) -> MpiGraphResult {
-    let batch = des_batch(flows);
-    let out = crate::pdes::simulate_parallel(topo, &DesConfig::default(), &batch);
-    des_result(flows.len(), &out.deliveries, seed)
-}
 
 /// The mpiGraph DES workload: every flow injects [`DES_WINDOW`] ×
 /// [`DES_MESSAGE`] back-to-back messages tagged by flow index.
@@ -162,44 +136,27 @@ fn des_batch(flows: &[Flow]) -> MessageBatch {
     batch
 }
 
-/// Per-pair receive bandwidth from the delivery times of each flow's
-/// window: bytes sent over the arrival of the flow's last message.
-fn des_result(n_flows: usize, deliveries: &[Delivery], seed: u64) -> MpiGraphResult {
-    let mut last = vec![SimTime::ZERO; n_flows];
-    for d in deliveries {
+/// Per-message mpiGraph over a dragonfly: the pairs and routes of
+/// [`run_dragonfly`], but instead of one steady-state max-min solve, every
+/// pair injects a window of [`DES_WINDOW`] × [`DES_MESSAGE`] back-to-back
+/// messages and the whole machine is simulated message-by-message on the
+/// DES core. The per-pair receive bandwidth is
+/// bytes sent over the arrival of the pair's last message.
+///
+/// One flat [`MessageBatch`] carries the full machine (9,472 nodes →
+/// ~150k messages at Frontier scale), which is exactly the workload the
+/// SoA arena + calendar queue are built for.
+pub fn run_dragonfly_des(df: &Dragonfly, policy: RoutePolicy, seed: u64) -> MpiGraphResult {
+    let flows = dragonfly_flows(df, policy, seed);
+    let deliveries = simulate(df.topology(), &DesConfig::default(), &des_batch(&flows));
+    let mut last = vec![SimTime::ZERO; flows.len()];
+    for d in &deliveries {
         let i = d.tag as usize;
         last[i] = last[i].max(d.arrival);
     }
     let sent = DES_WINDOW as f64 * DES_MESSAGE.as_f64();
     let rates: Vec<f64> = last.iter().map(|&t| sent / t.as_secs_f64() / 1e9).collect();
     MpiGraphResult::from_solved_rates(rates, seed)
-}
-
-/// Per-message mpiGraph over a dragonfly: same pair generation and
-/// routing as [`run_dragonfly`], simulated on the DES core instead of the
-/// steady-state solver.
-pub fn run_dragonfly_des(df: &Dragonfly, policy: RoutePolicy, seed: u64) -> MpiGraphResult {
-    let n = df.params().total_endpoints();
-    let mut rng = StreamRng::for_component(seed, "mpigraph-pairs", 0);
-    let pairs = mpigraph_pairs(n, &mut rng);
-    let router = Router::new(df, policy);
-    let flows = router.route_all(&pairs, 0, seed);
-    run_des_with_flows(df.topology(), &flows, seed)
-}
-
-/// [`run_dragonfly_des`] on the domain-parallel DES engine: same pairs,
-/// same routing, byte-identical result, parallel wall-clock.
-pub fn run_dragonfly_des_parallel(
-    df: &Dragonfly,
-    policy: RoutePolicy,
-    seed: u64,
-) -> MpiGraphResult {
-    let n = df.params().total_endpoints();
-    let mut rng = StreamRng::for_component(seed, "mpigraph-pairs", 0);
-    let pairs = mpigraph_pairs(n, &mut rng);
-    let router = Router::new(df, policy);
-    let flows = router.route_all(&pairs, 0, seed);
-    run_des_with_flows_parallel(df.topology(), &flows, seed)
 }
 
 /// Run mpiGraph over a fat-tree.
@@ -298,12 +255,31 @@ mod tests {
         assert_eq!(a.rates_gb_s, b.rates_gb_s);
     }
 
+    /// The mpiGraph batch delivers identically on the calendar queue, the
+    /// binary heap and the domain-parallel engine, at a 64- and a
+    /// 1,024-endpoint scale, and the parallel makespan is the latest
+    /// arrival.
     #[test]
-    fn des_parallel_matches_serial_exactly() {
-        let df = Dragonfly::build(DragonflyParams::scaled(8, 4, 4));
-        let serial = run_dragonfly_des(&df, RoutePolicy::adaptive_default(), 5);
-        let par = run_dragonfly_des_parallel(&df, RoutePolicy::adaptive_default(), 5);
-        assert_eq!(serial.rates_gb_s, par.rates_gb_s);
+    fn des_engines_deliver_identically() {
+        use crate::des::{simulate_with, QueueKind};
+        for (groups, spg, eps) in [(4, 4, 4), (16, 8, 8)] {
+            let df = Dragonfly::build(DragonflyParams::scaled(groups, spg, eps));
+            let n = df.params().total_endpoints();
+            let flows = dragonfly_flows(&df, RoutePolicy::adaptive_default(), 7);
+            let (topo, cfg, batch) = (df.topology(), DesConfig::default(), des_batch(&flows));
+
+            let calendar = simulate_with(topo, &cfg, &batch, QueueKind::Calendar);
+            assert_eq!(calendar.len(), batch.len(), "{n} endpoints");
+            let heap = simulate_with(topo, &cfg, &batch, QueueKind::BinaryHeap);
+            assert!(heap == calendar, "heap differs at {n} endpoints");
+            let par = crate::pdes::simulate_parallel(topo, &cfg, &batch);
+            assert!(
+                par.deliveries == calendar,
+                "parallel differs at {n} endpoints"
+            );
+            let latest = calendar.iter().map(|d| d.arrival).max();
+            assert_eq!(Some(par.makespan), latest, "{n} endpoints");
+        }
     }
 
     #[test]

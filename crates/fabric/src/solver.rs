@@ -1135,6 +1135,7 @@ mod tests {
     use crate::topology::{EndpointId, LinkLevel, SwitchId};
     use frontier_sim_core::check;
     use frontier_sim_core::rng::StreamRng;
+    use std::ops::Range;
 
     fn assert_close(a: &[f64], b: &[f64]) {
         assert_eq!(a.len(), b.len());
@@ -1320,20 +1321,15 @@ mod tests {
         });
     }
 
-    /// One hash over every output bit of the engine on inputs full of
-    /// ties: each rate's `to_bits`, `rounds` and `components` of a cold
-    /// solve and of an 8-step capacity-only warm chain, and the
-    /// `fabric.maxmin.frozen_*` counters. Capacities come from a few
-    /// integer Gb/s values, so private and shared levels tie; a flow has up
-    /// to three private links, often at one level; demands often equal a
-    /// link level; some paths are empty. The pinned value was taken from
-    /// the engine that still queued every private link as a link event, so
-    /// it holds the static per-flow events to that engine's pop order, ties
-    /// included. Two tie-order faults each change the hash: picking a
-    /// flow's highest-id private link on ties (9 of the 2,048 cases differ)
-    /// and freezing a batch's private events after its shared ones (4).
-    #[test]
-    fn rates_match_parent_engine_bitwise() {
+    /// One hash over every output bit of the engine on `cases` inputs full
+    /// of ties, each with a flow count drawn from `flows` and a count of
+    /// shared candidate links drawn from `pool`: each rate's `to_bits`,
+    /// `rounds` and `components` of a cold solve and of an 8-step
+    /// capacity-only warm chain, and the `fabric.maxmin.frozen_*` counters.
+    /// Capacities come from a few integer Gb/s values, so private and
+    /// shared levels tie; a flow has up to three private links, often at
+    /// one level; demands often equal a link level; some paths are empty.
+    fn tie_heavy_hash(cases: u32, flows: Range<usize>, pool: Range<usize>) -> u64 {
         use crate::maxmin::VniWeights;
         use frontier_sim_core::metrics::{MetricsRegistry, MetricsScope};
         use std::cell::Cell;
@@ -1360,10 +1356,10 @@ mod tests {
         }
 
         let hash = Cell::new(0xcbf2_9ce4_8422_2325u64);
-        check::cases(2048, |g| {
+        check::cases(cases, |g| {
             let gb = |g: &mut check::Gen| Bandwidth::gb_s(GBS[g.range(0..GBS.len())]);
-            let nf = g.range(1..48usize);
-            let npool = g.range(1..4usize);
+            let nf = g.range(flows.clone());
+            let npool = g.range(pool.clone());
             // Unit weights, per-VNI fairness, or weight `2^(vni mod 3) / 3`.
             let scheme = g.range(0..3u32);
             let scale = |vni: u32| match scheme {
@@ -1474,7 +1470,29 @@ mod tests {
             }
             hash.set(h);
         });
-        assert_eq!(hash.get(), 0x9bb6_7088_3e55_0695, "{:#018x}", hash.get());
+        hash.get()
+    }
+
+    /// The first pinned value was taken from the engine that still queued
+    /// every private link as a link event, so it holds the static per-flow
+    /// events to that engine's pop order, ties included. Two tie-order
+    /// faults each change it: picking a flow's highest-id private link on
+    /// ties (9 of the 2,048 cases differ) and freezing a batch's private
+    /// events after its shared ones (4).
+    ///
+    /// The second case set has 640 to 799 flows over 64 to 127 shared
+    /// candidates, so few flows share a link and private links bind; each
+    /// case's largest component holds 301 to 415 private events, so
+    /// [`sort_by_link`] takes its radix path over ids that vary in two
+    /// bytes. Its value was taken from the engine before the radix sort,
+    /// which compared `(level, link id)`. Taking the radix digits most
+    /// significant first changes it (5 of the 64 cases differ).
+    #[test]
+    fn rates_match_parent_engine_bitwise() {
+        let small = tie_heavy_hash(2048, 1..48, 1..4);
+        assert_eq!(small, 0x9bb6_7088_3e55_0695, "{small:#018x}");
+        let radix = tie_heavy_hash(64, 640..800, 64..128);
+        assert_eq!(radix, 0xfdaa_00ab_04d5_135f, "{radix:#018x}");
     }
 
     #[test]

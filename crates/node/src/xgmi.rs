@@ -155,14 +155,6 @@ impl NodeTopology {
             })
             .collect()
     }
-
-    /// Aggregate per-direction GCD↔GCD bandwidth of the node.
-    pub fn total_gcd_bandwidth(&self) -> Bandwidth {
-        self.gcd_pairs()
-            .iter()
-            .map(|&(_, _, c)| c.peak_bandwidth())
-            .sum()
-    }
 }
 
 #[cfg(test)]

@@ -68,11 +68,6 @@ impl Histogram {
         self.overflow
     }
 
-    /// Number of bins.
-    pub fn num_bins(&self) -> usize {
-        self.bins.len()
-    }
-
     /// `(bin_center, count)` pairs.
     pub fn bins(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
         let w = (self.hi - self.lo) / self.bins.len() as f64;

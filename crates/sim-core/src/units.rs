@@ -203,16 +203,6 @@ impl Bandwidth {
     pub fn tb_s(v: f64) -> Self {
         Bandwidth(v * 1e12)
     }
-    /// From binary GiB/s.
-    #[inline]
-    pub fn gib_s(v: f64) -> Self {
-        Bandwidth(v * (1u64 << 30) as f64)
-    }
-    /// From binary MiB/s.
-    #[inline]
-    pub fn mib_s(v: f64) -> Self {
-        Bandwidth(v * (1u64 << 20) as f64)
-    }
     /// From gigabits per second (network convention, decimal).
     #[inline]
     pub fn gbit_s(v: f64) -> Self {
@@ -234,18 +224,6 @@ impl Bandwidth {
     #[inline]
     pub fn as_tb_s(self) -> f64 {
         self.0 / 1e12
-    }
-    #[inline]
-    pub fn as_pib_s(self) -> f64 {
-        self.0 / (1u64 << 50) as f64
-    }
-    #[inline]
-    pub fn as_mib_s(self) -> f64 {
-        self.0 / (1u64 << 20) as f64
-    }
-    #[inline]
-    pub fn as_gib_s(self) -> f64 {
-        self.0 / (1u64 << 30) as f64
     }
 
     /// Time to move `bytes` at this rate. Panics in debug builds if the rate
